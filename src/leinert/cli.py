@@ -79,7 +79,10 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _ensure_seed(args) -> int:
@@ -222,12 +225,12 @@ def _cmd_verify_series(args) -> int:
     total = sig.total_generators
     if args.a is None:
         args.a = (1 - args.alpha0) / (2 * total)
-    weights = WalkWeights(args.alpha0, {base: args.a for base in sig.bases()})
     try:
+        weights = WalkWeights(args.alpha0, {base: args.a for base in sig.bases()})
         tables = dp_tables(sig, weights, args.n_max)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     residuals = verify_recurrences(tables)
     bundle = generating_functions(tables)
     mode = "probability" if weights.is_probability_mode else "norm"

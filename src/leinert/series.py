@@ -18,12 +18,24 @@ plain-first ones, and the avoiding tables likewise come in an even
 verify_recurrences are first-return decompositions of these quantities; in
 the Leinert cases they hold exactly, and where bad strings exist the
 detour terms pick up exactly the kernel-string weight.
+
+The walk runs on lumped states (Kemeny and Snell's lumpable chains).  The
+generators of a factor share one weight, so only each factor's string of
+exponent signs matters: from a word whose last sign opposes the step, one
+of the factor's s_i generators cancels and s_i - 1 append, else all s_i
+append.  A class holds its words' summed weight and steps with these
+multiplicities.  The excursion and masked walks keep apart a first letter
+that is the tracked generator x to the tracked sign (multiplicity 1, the
+other s_i - 1 appends going unmarked), so the opening letter x^-1 and the
+masked x are one-word classes, and absorbing, masking and the detour split
+act on them exactly.  Per-generator tables depend only on the factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .census import BudgetExceededError
@@ -31,6 +43,7 @@ from .groups import GroupSignature
 
 MAX_STATES = 2_000_000
 
+# One sign string per factor; a first entry of +-2 marks the tracked letter.
 State = tuple[tuple[int, ...], ...]
 
 
@@ -102,153 +115,133 @@ class ProbabilityTables:
         )
 
 
-def _apply(state: State, factor: int, signed: int) -> State:
-    word = state[factor]
-    if word and word[-1] == -signed:
-        new = word[:-1]
-    else:
-        new = word + (signed,)
-    return state[:factor] + (new,) + state[factor + 1 :]
+def _factor_rates(signature: GroupSignature, weights: WalkWeights) -> list[Fraction]:
+    """The step weight shared by the generators of each factor."""
+    rates = []
+    for i, rank in enumerate(signature.factors):
+        values = {weights.alpha.get((i, j), Fraction(0)) for j in range(rank)}
+        if len(values) > 1:
+            raise ValueError(f"generators of factor {i + 1} carry different weights")
+        rates.append(values.pop())
+    return rates
 
 
-def _identity(signature: GroupSignature) -> State:
+def _moves(word, sign, rank, marked):
+    """Successor classes of one factor's sign string under a letter of `sign`.
+
+    Each pair is a class and how many of the rank choices of generator
+    lead a word of this class into it.  A marked empty word splits its
+    appends into the tracked generator and the rest.
+    """
+    if word and word[-1] * sign < 0:
+        return ((word[:-1], 1), (word + (sign,), rank - 1))
+    if marked and not word:
+        return (((2 * sign,), 1), ((sign,), rank - 1))
+    return ((word + (sign,), rank),)
+
+
+def _home(signature: GroupSignature) -> State:
     return tuple(() for _ in signature.factors)
 
 
-def _check_budget(dist, description):
-    if len(dist) > MAX_STATES:
-        raise BudgetExceededError(description, len(dist), MAX_STATES)
+def _letter(signature: GroupSignature, factor: int, sign: int) -> State:
+    """The class holding just the tracked generator of `factor` to `sign`."""
+    return tuple((2 * sign,) if i == factor else () for i in range(signature.num_factors))
 
 
-def _step_symbols(weights: WalkWeights):
-    return [((i, j), j + 1, a) for (i, j), a in weights.alpha.items() if a]
+def _walk(signature, rates, alpha0, dist, times, first_plain, mark=None, masked=None):
+    """Run the lumped walk from `dist` over the steps `times`, yielding the
+    class weights after each step; `masked` is dropped after each yield.
 
-
-def _return_weights(signature, weights, steps, first_plain):
-    """Per-step identity mass and total mass of the unconstrained walk."""
-    zero = Fraction(0)
-    home = _identity(signature)
-    symbols = _step_symbols(weights)
-    dist: dict[State, Fraction] = {home: Fraction(1)}
-    at_home = [Fraction(1)]
-    mass = [Fraction(1)]
-    for m in range(1, steps + 1):
-        plain = (m % 2 == 0) != first_plain
-        nxt: dict[State, Fraction] = {}
-        for state, wt in dist.items():
-            for (i, _j), base, a in symbols:
-                ns = _apply(state, i, base if plain else -base)
-                nxt[ns] = nxt.get(ns, zero) + wt * a
-        if weights.alpha0:
-            lazy = dist.get(home)
-            if lazy:
-                nxt[home] = nxt.get(home, zero) + lazy * weights.alpha0
-        _check_budget(nxt, f"return walk on {signature}, step {m}")
-        dist = nxt
-        at_home.append(dist.get(home, zero))
-        mass.append(sum(dist.values(), zero))
-    return at_home, mass
-
-def _excursion_weights(signature, weights, steps, gen):
-    """First-return and detour weights for excursions opening with gen^-1.
-
-    The excursion never stands on the identity in between, so the lazy loop
-    never fires; arrivals at the identity are recorded and absorbed, split
-    by whether they come from the opening letter's position.
+    Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
+    `mark` = (factor, sign) keeps apart a first letter of that factor that
+    is the tracked generator to that sign.  The lazy loop fires whenever the
+    walk has weight at the identity.  The budget counts classes.
     """
     zero = Fraction(0)
-    home = _identity(signature)
-    symbols = _step_symbols(weights)
-    i0, j0 = gen
-    start = _apply(home, i0, -(j0 + 1))
-    first = [zero] * (steps + 1)
-    detour = [zero] * (steps + 1)
-    a0 = weights.alpha.get(gen, zero)
-    if steps < 1 or not a0:
-        return first, detour
-    dist: dict[State, Fraction] = {start: a0}
-    for m in range(2, steps + 1):
-        plain = m % 2 == 0
-        nxt: dict[State, Fraction] = {}
-        arrived = zero
-        arrived_detour = zero
-        for state, wt in dist.items():
-            for (i, _j), base, a in symbols:
-                ns = _apply(state, i, base if plain else -base)
-                w = wt * a
-                if ns == home:
-                    arrived += w
-                    if state != start:
-                        arrived_detour += w
-                else:
-                    nxt[ns] = nxt.get(ns, zero) + w
-        _check_budget(nxt, f"excursion walk on {signature}, step {m}")
-        first[m] = arrived
-        detour[m] = arrived_detour
-        dist = nxt
-    return first, detour
-
-
-def _avoiding_weights(signature, weights, steps, gen, first_plain):
-    """Return weights of walks never standing on the element gen in between.
-
-    The mask applies to interior times only, so the identity mass is read
-    off before the masked state is dropped at each step.
-    """
-    zero = Fraction(0)
-    home = _identity(signature)
-    symbols = _step_symbols(weights)
-    i0, j0 = gen
-    masked = _apply(home, i0, j0 + 1)
-    dist: dict[State, Fraction] = {home: Fraction(1)}
-    at_home = [Fraction(1)]
-    for m in range(1, steps + 1):
-        plain = (m % 2 == 0) != first_plain
+    home = _home(signature)
+    moves = {}
+    for m in times:
+        sign = 1 if (m % 2 == 0) != first_plain else -1
         nxt: dict[State, Fraction] = {}
         for state, wt in dist.items():
-            for (i, _j), base, a in symbols:
-                ns = _apply(state, i, base if plain else -base)
-                nxt[ns] = nxt.get(ns, zero) + wt * a
-        if weights.alpha0:
-            lazy = dist.get(home)
-            if lazy:
-                nxt[home] = nxt.get(home, zero) + lazy * weights.alpha0
-        _check_budget(nxt, f"avoiding walk on {signature}, step {m}")
+            for i, word in enumerate(state):
+                key = (i, word, sign)
+                if key not in moves:
+                    moves[key] = [
+                        (new, rates[i] * count)
+                        for new, count in _moves(
+                            word, sign, signature.factors[i], mark == (i, sign)
+                        )
+                        if rates[i] and count
+                    ]
+                for new, w in moves[key]:
+                    ns = state[:i] + (new,) + state[i + 1 :]
+                    nxt[ns] = nxt.get(ns, zero) + wt * w
+        if alpha0 and dist.get(home):
+            nxt[home] = nxt.get(home, zero) + dist[home] * alpha0
+        if len(nxt) > MAX_STATES:
+            raise BudgetExceededError(f"walk on {signature}, step {m}", len(nxt), MAX_STATES)
+        yield nxt
+        nxt.pop(masked, None)
         dist = nxt
-        at_home.append(dist.get(home, zero))
-        dist.pop(masked, None)
-    return at_home
 
 
 def dp_tables(
     signature: GroupSignature, weights: WalkWeights, n_max: int
 ) -> ProbabilityTables:
-    """Compute every table exactly, walking out to 2*n_max steps."""
+    """Compute every table exactly, walking out to 2*n_max steps.
+
+    The generators of each factor must share one weight (ValueError
+    otherwise): that symmetry is what lets the walk run on sign strings.
+    Per-generator tables then depend only on the factor and are shared.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     steps = 2 * n_max
     zero = Fraction(0)
+    rates = _factor_rates(signature, weights)
+    walk = partial(_walk, signature, rates, weights.alpha0)
+    home = _home(signature)
+    origin = {home: Fraction(1)}
 
-    inverse_first, mass = _return_weights(signature, weights, steps, first_plain=False)
-    plain_first, _ = _return_weights(signature, weights, steps - 1, first_plain=True)
-
-    even_returns = tuple(inverse_first[2 * n] for n in range(n_max + 1))
-    lagged_returns = (zero,) + tuple(plain_first[2 * n - 1] for n in range(1, n_max + 1))
+    # Flipping every exponent is an automorphism fixing the identity, so the
+    # plain-first walk returns exactly as often as the inverse-first one:
+    # the lagged returns are the latter's odd-step returns.
+    returns, mass = [Fraction(1)], [Fraction(1)]
+    for dist in walk(origin, range(1, steps + 1), False):
+        returns.append(dist.get(home, zero))
+        mass.append(sum(dist.values(), zero))
+    even_returns = tuple(returns[0::2])
+    lagged_returns = (zero,) + tuple(returns[1::2])
 
     excursions = {}
     detours = {}
     avoid_even = {}
     avoid_odd = {}
-    for gen in signature.bases():
-        first, detour = _excursion_weights(signature, weights, steps, gen)
-        excursions[gen] = tuple(first)
-        detours[gen] = tuple(detour)
-        avoid_even[gen] = tuple(
-            _avoiding_weights(signature, weights, steps - 2, gen, first_plain=True)
-        )
-        odd_table = _avoiding_weights(signature, weights, steps - 1, gen, first_plain=False)
-        odd_table[0] = zero  # index 0 is not an odd horizon; drop the bootstrap mass
-        avoid_odd[gen] = tuple(odd_table)
+    for i0, rank in enumerate(signature.factors):
+        # excursions open with the tracked inverse letter and are absorbed
+        # at the identity.  The walk stands on the opening letter only after
+        # odd steps, and the plain step that follows is its one way home:
+        # every other arrival is a detour.
+        a = rates[i0]
+        opening = _letter(signature, i0, -1)
+        first, detour, on_opening = [zero, zero], [zero, zero], a
+        for dist in walk({opening: a}, range(2, steps + 1), False, (i0, -1), home):
+            first.append(dist.get(home, zero))
+            detour.append(first[-1] - a * on_opening)
+            on_opening = dist.get(opening, zero)
+        # the masked walks never stand on the tracked plain letter in between
+        masked = _letter(signature, i0, 1)
+        plain = (i0, 1)
+        even = [d.get(home, zero) for d in walk(origin, range(1, steps - 1), True, plain, masked)]
+        odd = [d.get(home, zero) for d in walk(origin, range(1, steps), False, plain, masked)]
+        for j in range(rank):
+            excursions[(i0, j)] = tuple(first)
+            detours[(i0, j)] = tuple(detour)
+            avoid_even[(i0, j)] = (Fraction(1),) + tuple(even)
+            # index 0 is not an odd horizon
+            avoid_odd[(i0, j)] = (zero,) + tuple(odd)
 
     return ProbabilityTables(
         signature=signature,

@@ -114,6 +114,30 @@ class TestVerifySeries:
         ) == 0
         assert "a=1/8" in capsys.readouterr().out
 
+    def test_budget_failure_is_3(self, monkeypatch, capsys):
+        monkeypatch.setattr("leinert.series.MAX_STATES", 10)
+        assert run(["verify-series", "--group", "F2xF2", "--n-max", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exceeded: walk on F2xF2")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-max", "0"], "error: n_max must be >= 1"),
+            (["--a", "-1"], "error: step weights must be nonnegative"),
+        ],
+    )
+    def test_bad_config_is_usage_error(self, flags, message, capsys):
+        assert run(["verify-series", "--group", "F2xF2"] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_unreadable_rational_is_usage_error(self, capsys):
+        # argparse's own convention: its usage line, then one error line
+        assert run(["verify-series", "--group", "F2xF2", "--a", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("argument --a: not a rational number: '1/0'")
+
 
 class TestRadiusAndBounds:
     def test_radius_zero_decay(self, capsys):

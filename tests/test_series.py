@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leinert import (
     Series,
@@ -21,8 +23,9 @@ from leinert import (
     parse_signature,
     verify_recurrences,
 )
-from leinert.groups import Letter, Word
+from leinert.groups import GroupSignature, Letter, Word
 from leinert.series import bundle_to_json, tables_to_json
+from reference_dp import reference_dp_tables
 
 F2F2 = parse_signature("F2xF2")
 F1F1 = parse_signature("F1xF1")
@@ -222,6 +225,65 @@ class TestBruteForceOracle:
                 total += a**4
         tables = dp_tables(sig, norm_weights(sig, a), 2)
         assert tables.even_returns[2] == total
+
+
+class TestReferenceOracle:
+    """The lumped walk against the raw reduced-word DP, table for table."""
+
+    @pytest.mark.parametrize(
+        "group, n_max, a, alpha0",
+        [
+            ("F3", 4, F(1, 6), 0),
+            ("F3", 4, F(1, 7), F(1, 7)),
+            ("F1xF1", 4, F(1, 4), 0),
+            ("F1xF1", 4, F(1, 5), F(1, 5)),
+            ("F1xF2", 4, F(1, 6), 0),
+            ("F1xF2", 4, F(1, 7), F(1, 7)),
+            ("F2xF2", 5, F(1, 8), 0),
+            ("F2xF2", 5, F(1, 9), F(1, 9)),
+            ("F2xF3", 4, F(1, 10), 0),
+            ("F2xF3", 3, F(1, 11), F(1, 11)),
+        ],
+    )
+    def test_uniform_weights(self, group, n_max, a, alpha0):
+        sig = parse_signature(group)
+        weights = norm_weights(sig, a, alpha0)
+        assert dp_tables(sig, weights, n_max) == reference_dp_tables(sig, weights, n_max)
+
+    @pytest.mark.parametrize(
+        "group, rates, alpha0",
+        [
+            ("F1xF2", (F(1, 5), F(1, 10)), F(1, 10)),
+            ("F2xF2", (F(1, 8), F(1, 16)), 0),
+            ("F2xF1", (F(1, 6), F(0)), F(1, 3)),
+        ],
+    )
+    def test_weights_differing_between_factors(self, group, rates, alpha0):
+        sig = parse_signature(group)
+        weights = WalkWeights(F(alpha0), {(i, j): rates[i] for i, j in sig.bases()})
+        assert dp_tables(sig, weights, 4) == reference_dp_tables(sig, weights, 4)
+
+    def test_weights_differing_within_a_factor_are_refused(self):
+        eighth = F(1, 8)
+        weights = WalkWeights(F(0), {(0, 0): eighth, (0, 1): F(1, 4), (1, 0): eighth, (1, 1): eighth})
+        with pytest.raises(ValueError, match="factor 1"):
+            dp_tables(F2F2, weights, 2)
+        # a generator left out of the weights weighs zero, unlike its sibling
+        weights = WalkWeights(F(0), {(0, 0): eighth, (0, 1): eighth, (1, 0): eighth})
+        with pytest.raises(ValueError, match="factor 2"):
+            dp_tables(F2F2, weights, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda r: sum(r) <= 5),
+        n_max=st.integers(1, 3),
+        a=st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20),
+        alpha0=st.sampled_from([F(0), F(1, 3), F(2, 7)]),
+    )
+    def test_random_signatures(self, ranks, n_max, a, alpha0):
+        sig = GroupSignature(tuple(ranks))
+        weights = norm_weights(sig, a, alpha0)
+        assert dp_tables(sig, weights, n_max) == reference_dp_tables(sig, weights, n_max)
 
 
 class TestSeriesArithmetic:
