@@ -72,10 +72,10 @@ from .groups import (
     is_bad,
     is_kernel,
     is_reduced_string,
+    is_simple_cycle,
     is_valid_string,
     normal_form,
     parse_signature,
-    substrings,
     word_from_text,
     word_to_text,
 )

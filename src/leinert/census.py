@@ -8,6 +8,12 @@ what the stacks hold.  That stack-length prune implies the abelianization
 (parity) bound and more, so no separate parity check is needed.  All counts
 are exact integers.
 
+A bad string is a kernel (minimal) when no proper substring is bad.  The
+substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
+of the first k letters, so the census counts a bad string as a kernel
+exactly when P_0, ..., P_{L-1} are pairwise distinct, checked in one O(L)
+pass over the raw letters of each leaf.
+
 Alongside the enumeration sit the closed-form counts (the length-8 and
 length-12 formulas, conjugation extensions, composition identities) and an
 independent walk-counting oracle on the free group F_s.  The oracle audits
@@ -32,6 +38,7 @@ from .groups import (
     Word,
     is_bad,
     is_kernel,
+    is_simple_cycle,
     is_valid_string,
 )
 
@@ -98,22 +105,25 @@ def iter_valid_strings(signature: GroupSignature, length: int) -> Iterator[Word]
     yield from walk([])
 
 
-def iter_bad_strings(
-    signature: GroupSignature, length: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[Word]:
-    """Depth-first enumeration of the bad valid strings of one length.
-
-    The per-factor stacks are updated incrementally; a prefix dies once the
-    total stack length exceeds the number of letters still to come, since
-    each remaining letter can shorten the stacks by at most one.
-    """
-    _check_length(length)
+def _check_budget(signature: GroupSignature, length: int, budget: int) -> None:
     bound = valid_string_count(signature, length)
     if bound > budget:
         raise BudgetExceededError(
             f"bad-string census for {signature} at length {length}", bound, budget
         )
 
+
+def _iter_bad_letters(
+    signature: GroupSignature, length: int
+) -> Iterator[list[tuple[int, int, int]]]:
+    """Depth-first search for the bad valid strings of one length.
+
+    The per-factor stacks are updated incrementally; a prefix dies once the
+    total stack length exceeds the number of letters still to come, since
+    each remaining letter can shorten the stacks by at most one.  Each bad
+    string comes out as the live list of its (factor, gen, exp) triples,
+    which changes as the search moves on: read it before the next step.
+    """
     bases = list(signature.bases())
     stacks: list[list[int]] = [[] for _ in signature.factors]
     seq: list[tuple[int, int, int]] = []
@@ -121,7 +131,7 @@ def iter_bad_strings(
     def walk(depth: int, stacked: int):
         if depth == length:
             if stacked == 0:
-                yield Word(signature, tuple(Letter(*t) for t in seq))
+                yield seq
             return
         exp = -1 if depth % 2 == 0 else 1
         prev = seq[-1] if seq else None
@@ -147,6 +157,16 @@ def iter_bad_strings(
                 stack.append(-signed)
 
     yield from walk(0, 0)
+
+
+def iter_bad_strings(
+    signature: GroupSignature, length: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[Word]:
+    """The bad valid strings of one length, as Words, in search order."""
+    _check_length(length)
+    _check_budget(signature, length, budget)
+    for seq in _iter_bad_letters(signature, length):
+        yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
 def count_bad_exact(
@@ -189,15 +209,22 @@ def take_census(
     lengths: Iterable[int],
     budget: int = DEFAULT_BUDGET,
 ) -> BadStringCensus:
-    """Enumerate bad strings and kernels for each requested (even) length."""
+    """Enumerate bad strings and kernels for each requested (even) length.
+
+    Every length is checked against the budget before any is enumerated.
+    """
+    lengths = list(lengths)
+    for length in lengths:
+        _check_length(length)
+        _check_budget(signature, length, budget)
     entries = {}
+    m = signature.num_factors
     for length in lengths:
         bad = 0
         kernels = 0
-        for word in iter_bad_strings(signature, length, budget):
+        for seq in _iter_bad_letters(signature, length):
             bad += 1
-            if is_kernel(word):
-                kernels += 1
+            kernels += is_simple_cycle(seq, m)
         entries[length] = CensusEntry(valid_string_count(signature, length), bad, kernels)
     return BadStringCensus(signature, entries)
 

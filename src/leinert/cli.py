@@ -70,10 +70,13 @@ def _parse_d_bound(text: str) -> DBound:
 
 
 def _parse_range(text: str) -> range:
-    """Inclusive lo:hi, or a single integer."""
+    """Inclusive lo:hi with lo <= hi, or a single integer."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
+        values = range(int(lo), int(hi) + 1)
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}: need lo <= hi")
+        return values
     v = int(text)
     return range(v, v + 1)
 
@@ -83,6 +86,18 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+
+
+class _ConfigError(Exception):
+    """A configuration object refused the values given on the command line."""
+
+
+def _config(cls, **fields):
+    """Build a configuration object; its validation error becomes a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
 
 
 def _ensure_seed(args) -> int:
@@ -139,11 +154,7 @@ def _signature(text: str) -> GroupSignature:
 def _cmd_census(args) -> int:
     sig = args.group
     lengths = range(2, args.max_length + 1, 2)
-    try:
-        census = take_census(sig, lengths, budget=args.budget)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    census = take_census(sig, lengths, budget=args.budget)
     print(f"group {sig}, lengths {lengths.start}..{args.max_length}")
     print(f"{'length':>6} {'valid':>14} {'bad':>8} {'kernels':>8} {'frequency':>12}")
     for length in census.lengths():
@@ -179,8 +190,8 @@ def _cmd_sample(args) -> int:
     sig = args.group
     rows = []
     for length in range(2, args.max_length + 1, 2):
-        config = SampleConfig(
-            signature=sig, length=length, samples=args.samples, seed=args.seed
+        config = _config(
+            SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
         )
         report = estimate_bad_frequency(config)
         lo, hi = report.wilson_interval_95
@@ -258,7 +269,7 @@ def _cmd_verify_series(args) -> int:
 # -- radius and bounds --------------------------------------------------------
 
 def _cmd_radius(args) -> int:
-    problem = RadiusProblem(s=args.s, a=args.a, d_bound=args.d_bound)
+    problem = _config(RadiusProblem, s=args.s, a=args.a, d_bound=args.d_bound)
     z = radius_from_discriminant(problem)
     if math.isinf(z):
         print("no breakdown point below the decay radius (diverges nowhere)")
@@ -273,12 +284,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    problem = RadiusProblem(s=args.s, a=args.a, d_bound=args.d_bound)
-    try:
-        report = bound_report(problem)
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    problem = _config(RadiusProblem, s=args.s, a=args.a, d_bound=args.d_bound)
+    report = bound_report(problem)
     print(f"s={args.s} a={args.a} d-bound={args.d_bound.kind.value}")
     print(f"r_lower = {report.r_lower:.10g}  (decay-corrected)")
     print(f"r_upper = {report.r_upper:.10g}  (trivially-decaying ideal, theta={report.theta:.6g})")
@@ -297,7 +304,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_spectral(args) -> int:
     _ensure_seed(args)
-    config = SpectralConfig(
+    config = _config(
+        SpectralConfig,
         s=args.s,
         N=args.N,
         a=args.a,
@@ -354,7 +362,7 @@ def _cmd_figure(args) -> int:
     lines = ["# s  N  trials  mean_norm  std"]
     for s in args.s_range:
         est = estimate_z_inverse(
-            SpectralConfig(s=s, N=args.N, a=1.0, trials=args.trials, seed=args.seed)
+            _config(SpectralConfig, s=s, N=args.N, a=1.0, trials=args.trials, seed=args.seed)
         )
         lines.append(f"{s} {args.N} {args.trials} {est.mean:.12g} {est.std:.12g}")
     manifest.write_text(out, "figure_spectral.dat", "\n".join(lines) + "\n")
@@ -364,8 +372,8 @@ def _cmd_figure(args) -> int:
     lines = ["# length  exact_freq  sampled_freq  wilson_lo  wilson_hi"]
     for length in census.lengths():
         exact = float(census.entries[length].frequency)
-        config = SampleConfig(
-            signature=sig, length=length, samples=args.samples, seed=args.seed
+        config = _config(
+            SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
         )
         report = estimate_bad_frequency(config)
         lo, hi = report.wilson_interval_95
@@ -478,6 +486,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -15,7 +15,9 @@ Strings come in two flavours:
   exponents (no immediate x x^{-1} pair).
 
 Every valid string is reduced, and every contiguous substring of a reduced
-string is reduced, so minimality of bad strings is well defined.
+string is reduced, so minimality of bad strings is well defined.  A bad
+string is minimal (a kernel) exactly when its prefix products repeat nowhere
+before the end; see is_kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 class MalformedWordError(ValueError):
@@ -199,24 +201,44 @@ def is_bad(word: Word) -> bool:
     return bool(word.letters) and is_reduced_string(word) and normal_form(word).is_identity
 
 
-def substrings(word: Word, proper: bool = False) -> Iterator[Word]:
-    """All contiguous nonempty substrings, n(n+1)/2 of them.
+def is_simple_cycle(letters: Iterable[tuple[int, int, int]], num_factors: int) -> bool:
+    """Do the prefix products of a letter sequence trace a simple cycle?
 
-    With proper=True the full string itself is skipped.
+    `letters` are (factor, gen, exp) triples.  With P_k the product of the
+    first k letters, the answer is True when the sequence is nonempty,
+    P_L is the identity P_0, and P_0, ..., P_{L-1} are pairwise distinct.
+    Each P_k is the state of the per-factor stacks of normal_form after k
+    letters, so this costs L stack steps and L hashed snapshots.
     """
-    n = len(word.letters)
-    for start in range(n):
-        for stop in range(start + 1, n + 1):
-            if proper and stop - start == n:
-                continue
-            yield Word(word.signature, word.letters[start:stop])
+    stacks: list[list[int]] = [[] for _ in range(num_factors)]
+    seen = set()
+    for factor, gen, exp in letters:
+        snapshot = tuple(map(tuple, stacks))
+        if snapshot in seen:
+            return False
+        seen.add(snapshot)
+        stack = stacks[factor]
+        signed = exp * (gen + 1)
+        if stack and stack[-1] == -signed:
+            stack.pop()
+        else:
+            stack.append(signed)
+    return bool(seen) and not any(stacks)
 
 
 def is_kernel(word: Word) -> bool:
-    """Bad with no proper contiguous bad substring: a minimal obstruction."""
-    if not is_bad(word):
-        return False
-    return not any(is_bad(sub) for sub in substrings(word, proper=True))
+    """Bad with no proper contiguous bad substring: a minimal obstruction.
+
+    The substring of letters i+1..j evaluates to P_i^{-1} P_j, where P_k is
+    the product of the first k letters, and every substring of a reduced
+    string is reduced.  So a reduced string is a kernel exactly when its
+    prefix products return to the identity at the end and repeat nowhere
+    before: is_simple_cycle, which takes O(L) stack steps.
+    """
+    return is_reduced_string(word) and is_simple_cycle(
+        ((ell.factor, ell.gen, ell.exp) for ell in word.letters),
+        word.signature.num_factors,
+    )
 
 
 def cyclic_rotations(word: Word) -> list[Word]:

@@ -66,6 +66,8 @@ class SampleConfig:
             raise ValueError("length must be >= 2")
         if self.model is StringModel.VALID and self.length % 2:
             raise ValueError("valid strings have even length")
+        if self.model is StringModel.VALID and self.signature.total_generators < 2:
+            raise ValueError("valid strings need at least two generators")
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,6 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
     sig = config.signature
     bases = list(sig.bases())
     s = len(bases)
-    if config.model is StringModel.VALID and s < 2:
-        raise ValueError("valid strings need at least two generators")
     model_tag = 0 if config.model is StringModel.VALID else 1
     rejections = {t: 0 for t in config.tests}
     bad_total = 0

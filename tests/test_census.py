@@ -4,9 +4,12 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leinert import (
     BudgetExceededError,
+    GroupSignature,
     bad_count_length8_formula,
     bad_count_length12_formula,
     brute_force_return_walks,
@@ -36,6 +39,7 @@ from leinert.census import (
     walk_distance_distribution,
     write_census_csv,
 )
+from reference_kernel import is_kernel as reference_is_kernel
 
 F2F2 = parse_signature("F2xF2")
 Z3 = parse_signature("Z3")
@@ -119,6 +123,36 @@ class TestCensusObject:
             "6,972,0,0,0\n"
             "8,8748,16,16,0.00182898948331\n"
         )
+
+    def test_budget_checked_before_enumeration(self, monkeypatch):
+        # the refusal at length 20 comes before any length is enumerated
+        def no_search(*args):
+            raise AssertionError("enumerated before the budget check")
+
+        monkeypatch.setattr("leinert.census._iter_bad_letters", no_search)
+        with pytest.raises(BudgetExceededError, match="at length 20"):
+            take_census(F2F2, range(2, 100, 2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+            lambda r: 2 <= sum(r) <= 4
+        ),
+        max_length=st.sampled_from([2, 4, 6, 8]),
+    )
+    # cases where some bad strings of length 8 are not kernels
+    @example(ranks=[1, 1, 1, 1], max_length=8)
+    @example(ranks=[1, 1, 2], max_length=8)
+    def test_matches_brute_force(self, ranks, max_length):
+        sig = GroupSignature(tuple(ranks))
+        census = take_census(sig, range(2, max_length + 1, 2))
+        for length in census.lengths():
+            bad = [w for w in iter_valid_strings(sig, length) if is_bad(w)]
+            kernels = sum(reference_is_kernel(w) for w in bad)
+            assert (census.entries[length].bad, census.entries[length].kernels) == (
+                len(bad),
+                kernels,
+            )
 
 
 class TestClosedForms:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from leinert.bounds import ConvergenceError
 from leinert.cli import run
 
 
@@ -21,8 +22,51 @@ class TestExitCodes:
         assert run([]) == 2
 
     def test_budget_failure_is_3(self, capsys):
+        # refused before any length is enumerated, naming the first one over
         assert run(["census", "--group", "F2xF2", "--max-length", "99"]) == 3
-        assert "budget" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "budget exceeded: bad-string census for F2xF2 at length 20: "
+            "search-space bound 4649045868 exceeds budget 1000000000"
+        ]
+
+    def test_convergence_failure_is_3(self, monkeypatch, capsys):
+        def diverge(problem):
+            raise ConvergenceError("fixed point diverged")
+
+        monkeypatch.setattr("leinert.cli.bound_report", diverge)
+        assert run(["bounds", "--s", "2", "--a", "0.25"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["convergence failure: fixed point diverged"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sample", "--group", "F2xF2", "--samples", "0", "--seed", "1"],
+                "error: samples must be >= 1",
+            ),
+            (
+                ["sample", "--group", "F1", "--seed", "1"],
+                "error: valid strings need at least two generators",
+            ),
+            (["radius", "--s", "2", "--a", "-1"], "error: a must be positive"),
+            (["spectral", "--s", "2", "--N", "1", "--seed", "1"], "error: N must be >= 2"),
+        ],
+    )
+    def test_bad_config_is_usage_error(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_empty_s_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        argv = ["bounds", "--s", "2", "--a", "0.25", "--s-range", "5:2", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            "argument --s-range: empty range '5:2': need lo <= hi"
+        )
+        assert not out.exists()
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0

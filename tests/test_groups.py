@@ -1,6 +1,10 @@
 """Word model: normal forms, string classes, kernels."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leinert import (
     GroupSignature,
@@ -14,13 +18,15 @@ from leinert import (
     is_bad,
     is_kernel,
     is_reduced_string,
+    is_simple_cycle,
     is_valid_string,
     normal_form,
     parse_signature,
-    substrings,
     word_from_text,
     word_to_text,
 )
+from reference_kernel import is_kernel as reference_is_kernel
+from reference_kernel import substrings
 
 F2F2 = GroupSignature((2, 2))
 Z2 = GroupSignature((1, 1))
@@ -175,6 +181,73 @@ class TestBadAndKernel:
     def test_rotation_count(self):
         assert len(cyclic_rotations(w(KERNEL8))) == 8
         assert len(cyclic_rotations(Word(F2F2, ()))) == 1
+
+
+def _all_letters(sig):
+    return [Letter(f, g, e) for f, g in sig.bases() for e in (-1, 1)]
+
+
+@st.composite
+def words(draw):
+    """Words over a random small signature, reduced or not."""
+    ranks = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    sig = GroupSignature(tuple(ranks))
+    letters = draw(st.lists(st.sampled_from(_all_letters(sig)), max_size=10))
+    if draw(st.booleans()):
+        # drop immediate cancellations until the string is reduced
+        kept = []
+        for ell in letters:
+            if kept and kept[-1] == ell.inverse():
+                kept.pop()
+            else:
+                kept.append(ell)
+        letters = kept
+    return Word(sig, tuple(letters))
+
+
+class TestKernelCriterion:
+    """is_kernel by prefix products against the substring-scan oracle."""
+
+    def test_conjugated_kernel_is_not_minimal(self):
+        # z^-1 K z repeats the prefix product z^-1 after K closes
+        z = Letter(0, 1, -1)
+        word = Word(F2F2, (z,)) * w(KERNEL8).conjugate() * Word(F2F2, (z.inverse(),))
+        assert is_bad(word)
+        assert not is_kernel(word)
+        assert not reference_is_kernel(word)
+
+    def test_product_of_kernels_is_not_minimal(self):
+        # u v with u, v commutators in Z2: P_1..P_7 are distinct, and only
+        # P_4 = P_0 = e shows that the prefix u is already bad
+        word = word_from_text(Z2, "f1g1 f2g1 f1g1' f2g1' f1g1' f2g1' f1g1 f2g1")
+        assert is_bad(word)
+        assert not is_kernel(word)
+        assert not reference_is_kernel(word)
+
+    def test_simple_cycle_ignores_reducedness(self):
+        # x x^-1 closes without a repeat; is_kernel rejects it as unreduced
+        assert is_simple_cycle([(0, 0, 1), (0, 0, -1)], 2)
+        assert not is_kernel(w("f1g1 f1g1'"))
+        assert not is_simple_cycle([], 2)
+        assert not is_simple_cycle([(0, 0, 1)], 2)
+
+    @pytest.mark.parametrize("name, max_length", [("Z2", 6), ("F1xF2", 5)])
+    def test_exhaustive_small_words(self, name, max_length):
+        sig = parse_signature(name)
+        alphabet = _all_letters(sig)
+        kernels = 0
+        for length in range(max_length + 1):
+            for letters in itertools.product(alphabet, repeat=length):
+                word = Word(sig, letters)
+                expected = reference_is_kernel(word)
+                assert is_kernel(word) == expected, word_to_text(word)
+                kernels += expected
+        assert kernels > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(word=words())
+    def test_matches_substring_oracle(self, word):
+        assert is_kernel(word) == reference_is_kernel(word)
 
 
 class TestExponentSums:
