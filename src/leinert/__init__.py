@@ -34,7 +34,6 @@ from .bounds import (
     quadratic_coeffs,
     r_squared_closed_form,
     radius_from_discriminant,
-    radius_from_vertical_tangent,
     solve_G_upper,
     woess_radius,
 )
@@ -67,7 +66,6 @@ from .groups import (
     StringKind,
     Word,
     classify_string,
-    cyclic_rotations,
     exponent_sums,
     is_bad,
     is_kernel,

@@ -1,10 +1,11 @@
 """Command-line entry point: every capability as a subcommand.
 
 Exit codes: 0 success, 2 usage errors (argparse's convention), 3 when a
-computation hits its budget or fails to converge.  Subcommands that write
-files also write a manifest.json recording the full configuration, the
-seed, and a digest per output, so a run can be reproduced byte for byte
-(exact-arithmetic outputs) or statistically (floating ones).
+computation hits its budget or fails to converge.  With --out, a run that
+finishes writes its outputs and a manifest.json recording the full
+configuration, the seed, and a digest per output, so a run can be
+reproduced byte for byte (exact-arithmetic outputs) or statistically
+(floating ones).  Tables are CSV; radius only prints.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import (
-    BoundReport,
     ConvergenceError,
     DBound,
     RadiusProblem,
@@ -81,6 +81,14 @@ def _parse_range(text: str) -> range:
     return range(v, v + 1)
 
 
+def _max_length(text: str) -> int:
+    """A string length bound; the shortest string that can be bad has length 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"max length must be >= 2, got {value}")
+    return value
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -108,34 +116,41 @@ def _ensure_seed(args) -> int:
 
 
 class _Manifest:
-    """Collects output files and writes manifest.json alongside them."""
+    """The named output texts of one run, written with manifest.json at the end.
 
-    def __init__(self, subcommand: str, args: argparse.Namespace):
+    run() makes one before calling the subcommand, which only adds texts to
+    it; files are written after the subcommand returns, so a run refused part
+    way writes nothing, and duration_s times the whole computation.
+    """
+
+    def __init__(self, subcommand: str):
         self.subcommand = subcommand
-        self.config = {
-            k: str(v) for k, v in sorted(vars(args).items()) if k != "func"
-        }
         self.started = time.time()
-        self.outputs: dict[str, str] = {}
+        self.texts: dict[str, str] = {}
 
-    def write_text(self, directory: Path, name: str, text: str) -> Path:
+    def add(self, name: str, text: str) -> None:
+        self.texts[name] = text
+
+    def write(self, directory: Path, args: argparse.Namespace) -> None:
+        # the config is read now: the run may have filled in a seed or weight
+        duration = time.time() - self.started
+        config = {k: str(v) for k, v in sorted(vars(args).items()) if k != "func"}
         directory.mkdir(parents=True, exist_ok=True)
-        path = directory / name
-        data = text.encode()
-        path.write_bytes(data)
-        self.outputs[name] = hashlib.sha256(data).hexdigest()
-        print(f"wrote {path}")
-        return path
-
-    def finish(self, directory: Path) -> None:
-        seed = self.config.get("seed")
+        outputs = {}
+        for name, text in self.texts.items():
+            path = directory / name
+            data = text.encode()
+            path.write_bytes(data)
+            outputs[name] = hashlib.sha256(data).hexdigest()
+            print(f"wrote {path}")
+        seed = config.get("seed")
         body = {
             "subcommand": self.subcommand,
-            "config": self.config,
+            "config": config,
             "seed": None if seed in (None, "None") else int(seed),
             "version": __version__,
-            "duration_s": round(time.time() - self.started, 3),
-            "outputs": self.outputs,
+            "duration_s": round(duration, 3),
+            "outputs": outputs,
         }
         path = directory / "manifest.json"
         path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
@@ -151,7 +166,7 @@ def _signature(text: str) -> GroupSignature:
 
 # -- census -------------------------------------------------------------------
 
-def _cmd_census(args) -> int:
+def _cmd_census(args, manifest: _Manifest) -> int:
     sig = args.group
     lengths = range(2, args.max_length + 1, 2)
     census = take_census(sig, lengths, budget=args.budget)
@@ -161,77 +176,42 @@ def _cmd_census(args) -> int:
         e = census.entries[length]
         freq = float(e.frequency)
         print(f"{length:>6} {e.total_valid:>14} {e.bad:>8} {e.kernels:>8} {freq:>12.3e}")
-    if args.out:
-        manifest = _Manifest("census", args)
-        buf = io.StringIO()
-        write_census_csv(census, buf)
-        if args.format == "csv":
-            manifest.write_text(args.out, "census.csv", buf.getvalue())
-        else:
-            rows = [
-                {
-                    "length": length,
-                    "total_valid": census.entries[length].total_valid,
-                    "bad": census.entries[length].bad,
-                    "kernels": census.entries[length].kernels,
-                    "frequency": str(census.entries[length].frequency),
-                }
-                for length in census.lengths()
-            ]
-            manifest.write_text(args.out, "census.json", json.dumps(rows, indent=2) + "\n")
-        manifest.finish(args.out)
+    buf = io.StringIO()
+    write_census_csv(census, buf)
+    manifest.add("census.csv", buf.getvalue())
     return EXIT_OK
 
 
 # -- sample -------------------------------------------------------------------
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args, manifest: _Manifest) -> int:
     _ensure_seed(args)
     sig = args.group
-    rows = []
-    for length in range(2, args.max_length + 1, 2):
-        config = _config(
-            SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
+    reports = [
+        estimate_bad_frequency(
+            _config(
+                SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
+            )
         )
-        report = estimate_bad_frequency(config)
-        lo, hi = report.wilson_interval_95
-        rows.append(
-            {
-                "length": length,
-                "samples": args.samples,
-                "bad": report.bad_count,
-                "freq": float(report.frequency),
-                "wilson_lo": lo,
-                "wilson_hi": hi,
-            }
-        )
+        for length in range(2, args.max_length + 1, 2)
+    ]
     print(f"group {sig}, {args.samples} samples per length, seed {args.seed}")
     print(f"{'length':>6} {'bad':>8} {'freq':>12} {'wilson95':>28}")
-    for r in rows:
-        print(
-            f"{r['length']:>6} {r['bad']:>8} {r['freq']:>12.3e} "
-            f"[{r['wilson_lo']:.3e}, {r['wilson_hi']:.3e}]"
-        )
-    if args.out:
-        manifest = _Manifest("sample", args)
-        if args.format == "csv":
-            buf = io.StringIO()
-            buf.write("length,samples,bad,freq,wilson_lo,wilson_hi\n")
-            for r in rows:
-                buf.write(
-                    f"{r['length']},{r['samples']},{r['bad']},"
-                    f"{r['freq']:.12g},{r['wilson_lo']:.12g},{r['wilson_hi']:.12g}\n"
-                )
-            manifest.write_text(args.out, "sample.csv", buf.getvalue())
-        else:
-            manifest.write_text(args.out, "sample.json", json.dumps(rows, indent=2) + "\n")
-        manifest.finish(args.out)
+    buf = io.StringIO()
+    buf.write("length,samples,bad,freq,wilson_lo,wilson_hi\n")
+    for report in reports:
+        length, bad = report.config.length, report.bad_count
+        freq = float(report.frequency)
+        lo, hi = report.wilson_interval_95
+        print(f"{length:>6} {bad:>8} {freq:>12.3e} [{lo:.3e}, {hi:.3e}]")
+        buf.write(f"{length},{args.samples},{bad},{freq:.12g},{lo:.12g},{hi:.12g}\n")
+    manifest.add("sample.csv", buf.getvalue())
     return EXIT_OK
 
 
 # -- verify-series ------------------------------------------------------------
 
-def _cmd_verify_series(args) -> int:
+def _cmd_verify_series(args, manifest: _Manifest) -> int:
     sig = args.group
     total = sig.total_generators
     if args.a is None:
@@ -240,8 +220,7 @@ def _cmd_verify_series(args) -> int:
         weights = WalkWeights(args.alpha0, {base: args.a for base in sig.bases()})
         tables = dp_tables(sig, weights, args.n_max)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _ConfigError(str(exc)) from None
     residuals = verify_recurrences(tables)
     bundle = generating_functions(tables)
     mode = "probability" if weights.is_probability_mode else "norm"
@@ -252,23 +231,18 @@ def _cmd_verify_series(args) -> int:
     print("generating-function residuals (exact):")
     for name, value in bundle.residuals.items():
         print(f"  {name:>20}: {value}")
-    if args.out:
-        manifest = _Manifest("verify-series", args)
-        payload = {
-            "tables": tables_to_json(tables),
-            "series": bundle_to_json(bundle),
-            "recurrence_residuals": {k: str(v) for k, v in residuals.items()},
-        }
-        manifest.write_text(
-            args.out, "series_tables.json", json.dumps(payload, indent=2) + "\n"
-        )
-        manifest.finish(args.out)
+    payload = {
+        "tables": tables_to_json(tables),
+        "series": bundle_to_json(bundle),
+        "recurrence_residuals": {k: str(v) for k, v in residuals.items()},
+    }
+    manifest.add("series_tables.json", json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 # -- radius and bounds --------------------------------------------------------
 
-def _cmd_radius(args) -> int:
+def _cmd_radius(args, manifest: _Manifest) -> int:
     problem = _config(RadiusProblem, s=args.s, a=args.a, d_bound=args.d_bound)
     z = radius_from_discriminant(problem)
     if math.isinf(z):
@@ -283,26 +257,22 @@ def _cmd_radius(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, manifest: _Manifest) -> int:
     problem = _config(RadiusProblem, s=args.s, a=args.a, d_bound=args.d_bound)
     report = bound_report(problem)
     print(f"s={args.s} a={args.a} d-bound={args.d_bound.kind.value}")
     print(f"r_lower = {report.r_lower:.10g}  (decay-corrected)")
     print(f"r_upper = {report.r_upper:.10g}  (trivially-decaying ideal, theta={report.theta:.6g})")
     print(f"gap = {report.gap:.4g} absolute, {report.relative_gap:.4g} relative")
-    if args.out:
-        manifest = _Manifest("bounds", args)
-        rows = curve_points(args.s_range, d_bound=args.d_bound)
-        buf = io.StringIO()
-        write_curve_csv(rows, buf)
-        manifest.write_text(args.out, "curve_points.csv", buf.getvalue())
-        manifest.finish(args.out)
+    buf = io.StringIO()
+    write_curve_csv(curve_points(args.s_range, d_bound=args.d_bound), buf)
+    manifest.add("curve_points.csv", buf.getvalue())
     return EXIT_OK
 
 
 # -- spectral -----------------------------------------------------------------
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args, manifest: _Manifest) -> int:
     _ensure_seed(args)
     config = _config(
         SpectralConfig,
@@ -322,17 +292,12 @@ def _cmd_spectral(args) -> int:
         f"mean = {estimate.mean:.6f}  std = {estimate.std:.3e}  "
         f"free limit = {free_limit(args.s, args.a):.6f}"
     )
-    if args.out:
-        manifest = _Manifest("spectral", args)
-        buf = io.StringIO()
-        write_spectral_csv(estimate, buf)
-        manifest.write_text(args.out, "spectral.csv", buf.getvalue())
-        manifest.write_text(
-            args.out,
-            "spectral_summary.json",
-            json.dumps(spectral_summary(estimate), indent=2) + "\n",
-        )
-        manifest.finish(args.out)
+    buf = io.StringIO()
+    write_spectral_csv(estimate, buf)
+    manifest.add("spectral.csv", buf.getvalue())
+    manifest.add(
+        "spectral_summary.json", json.dumps(spectral_summary(estimate), indent=2) + "\n"
+    )
     if not estimate.all_converged:
         print("warning: some trials did not converge", file=sys.stderr)
         return EXIT_BUDGET
@@ -341,10 +306,8 @@ def _cmd_spectral(args) -> int:
 
 # -- figure -------------------------------------------------------------------
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args, manifest: _Manifest) -> int:
     _ensure_seed(args)
-    manifest = _Manifest("figure", args)
-    out = args.out
 
     # bound curves: the a=1 prediction, its reciprocal display, and the
     # decay-corrected discriminant point, per generator count
@@ -357,7 +320,7 @@ def _cmd_figure(args) -> int:
         lines.append(
             f"{s} {1.0 / z_free:.12g} {z_free:.12g} {z_disc_inv:.12g}"
         )
-    manifest.write_text(out, "figure_bounds.dat", "\n".join(lines) + "\n")
+    manifest.add("figure_bounds.dat", "\n".join(lines) + "\n")
 
     lines = ["# s  N  trials  mean_norm  std"]
     for s in args.s_range:
@@ -365,7 +328,7 @@ def _cmd_figure(args) -> int:
             _config(SpectralConfig, s=s, N=args.N, a=1.0, trials=args.trials, seed=args.seed)
         )
         lines.append(f"{s} {args.N} {args.trials} {est.mean:.12g} {est.std:.12g}")
-    manifest.write_text(out, "figure_spectral.dat", "\n".join(lines) + "\n")
+    manifest.add("figure_spectral.dat", "\n".join(lines) + "\n")
 
     sig = parse_signature("F2xF2")
     census = take_census(sig, range(2, args.max_length + 1, 2))
@@ -380,8 +343,7 @@ def _cmd_figure(args) -> int:
         lines.append(
             f"{length} {exact:.12g} {float(report.frequency):.12g} {lo:.12g} {hi:.12g}"
         )
-    manifest.write_text(out, "figure_decay.dat", "\n".join(lines) + "\n")
-    manifest.finish(out)
+    manifest.add("figure_decay.dat", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -397,29 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_out(p):
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker budget (current implementations are serial)",
-        )
 
     p = sub.add_parser("census", help="exact bad-string counts by length")
     p.add_argument("--group", type=_signature, required=True)
-    p.add_argument("--max-length", type=int, default=12)
+    p.add_argument("--max-length", type=_max_length, default=12)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("sample", help="Monte Carlo bad-string frequencies")
     p.add_argument("--group", type=_signature, required=True)
-    p.add_argument("--max-length", type=int, default=12)
+    p.add_argument("--max-length", type=_max_length, default=12)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser(
@@ -434,14 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-generator weight; default fills probability mode",
     )
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_verify_series)
 
     p = sub.add_parser("radius", help="discriminant breakdown radius")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
-    add_common(p)
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("bounds", help="radius bound report and curve table")
@@ -449,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
     p.add_argument("--s-range", type=_parse_range, default=range(2, 9))
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("spectral", help="Haar-unitary norm experiment")
@@ -459,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-6)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=_cmd_spectral)
 
     p = sub.add_parser("figure", help="emit the three figure data tables")
@@ -467,12 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=40)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--max-length", type=int, default=12)
+    p.add_argument("--max-length", type=_max_length, default=12)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
     p.add_argument("--out", type=Path, default=Path("figures"))
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_figure)
 
     return parser
@@ -484,8 +436,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    manifest = _Manifest(args.subcommand)
     try:
-        return args.func(args)
+        code = args.func(args, manifest)
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -495,6 +448,11 @@ def run(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    # radius has no --out; every other subcommand's texts go to disk here
+    out = getattr(args, "out", None)
+    if out is not None:
+        manifest.write(out, args)
+    return code
 
 
 def main() -> None:

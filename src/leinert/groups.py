@@ -241,14 +241,6 @@ def is_kernel(word: Word) -> bool:
     )
 
 
-def cyclic_rotations(word: Word) -> list[Word]:
-    """All rotations of the string, the original first."""
-    n = len(word.letters)
-    if n == 0:
-        return [word]
-    return [Word(word.signature, word.letters[k:] + word.letters[:k]) for k in range(n)]
-
-
 def exponent_sums(word: Word) -> tuple[tuple[int, ...], ...]:
     """Net exponent of every generator: the image in the abelianization."""
     sums = [[0] * rank for rank in word.signature.factors]

@@ -2,9 +2,10 @@
 
 Strings are drawn uniformly in one of two models (valid strings, or reduced
 strings over the doubled letter alphabet) and pushed through the test
-cascade: parity of exponent sums, adjacent-repeat scan, reduce-and-reorder
-identity check.  With the full cascade the survivors are exactly the bad
-strings, so the surviving fraction estimates the census frequency.
+cascade: parity of exponent sums, then one exact normal form per survivor.
+Every drawn string is reduced as written, so in both models the survivors
+of the full cascade are exactly the bad strings, and the surviving fraction
+estimates the census frequency.
 
 Sampling is vectorized in fixed-size chunks, each chunk drawing from a
 counter-based stream keyed by (seed, length, model, chunk index), so reports
@@ -24,14 +25,7 @@ import numpy as np
 
 from . import rng
 from .census import GrowthEstimate, fit_exponential_rate
-from .groups import (
-    GroupSignature,
-    Letter,
-    Word,
-    cyclic_rotations,
-    exponent_sums,
-    normal_form,
-)
+from .groups import GroupSignature, Letter, Word, normal_form
 
 CHUNK = 16384
 
@@ -43,11 +37,10 @@ class StringModel(Enum):
 
 class TestKind(Enum):
     PARITY = "parity"
-    ADJACENT_REPEAT = "adjacent_repeat"
     REDUCE_REORDER = "reduce_reorder"
 
 
-DEFAULT_TESTS = (TestKind.PARITY, TestKind.ADJACENT_REPEAT, TestKind.REDUCE_REORDER)
+DEFAULT_TESTS = (TestKind.PARITY, TestKind.REDUCE_REORDER)
 
 
 @dataclass(frozen=True)
@@ -79,113 +72,7 @@ class SampleReport:
     rejections: dict[TestKind, int] = field(compare=False)
 
 
-# -- string tests -------------------------------------------------------------
-
-def parity_test(word: Word) -> bool:
-    """True iff every generator occurs equally often with each exponent.
-
-    Vanishing abelianization is necessary for a string to reduce to the
-    identity, so a parity failure disposes of a sample cheaply.
-    """
-    return all(v == 0 for row in exponent_sums(word) for v in row)
-
-
-def adjacent_repeat_test(word: Word) -> bool:
-    """True iff no two identical letters are adjacent.
-
-    Valid strings pass by construction; in the reduced model this filters
-    toward the valid pattern.
-    """
-    return all(a != b for a, b in zip(word.letters, word.letters[1:]))
-
-
-def reduce_reorder_test(word: Word, max_passes: int | None = None) -> bool:
-    """True iff some cyclic rotation of the string reduces to the identity.
-
-    Rotating is conjugation, which fixes the identity, so this agrees with
-    checking the word itself; the rotation sweep is kept because it is the
-    shape of the pipeline being reproduced and doubles as a cross-check.
-
-    max_passes switches to a cruder scanner that only cancels string-adjacent
-    inverse pairs, up to that many sweeps per rotation.  The capped scanner
-    cannot see cancellations braided across factors, so it can miss
-    reductions; the default (None) uses the exact normal form.
-    """
-    if max_passes is None:
-        return any(normal_form(w).is_identity for w in cyclic_rotations(word))
-    return any(
-        _capped_scan_reduces(list(w.letters), max_passes) for w in cyclic_rotations(word)
-    )
-
-
-def _capped_scan_reduces(letters: list[Letter], max_passes: int) -> bool:
-    for _ in range(max_passes):
-        if not letters:
-            return True
-        out = []
-        i = 0
-        changed = False
-        while i < len(letters):
-            if (
-                i + 1 < len(letters)
-                and letters[i].base == letters[i + 1].base
-                and letters[i].exp == -letters[i + 1].exp
-            ):
-                i += 2
-                changed = True
-            else:
-                out.append(letters[i])
-                i += 1
-        letters = out
-        if not changed:
-            break
-    return not letters
-
-
 # -- sampling -----------------------------------------------------------------
-
-def sample_string(
-    signature: GroupSignature,
-    length: int,
-    model: StringModel,
-    gen: np.random.Generator,
-) -> Word:
-    """One uniform draw from the chosen string model.
-
-    Valid model: first base uniform over the s generators, every later base
-    uniform over the s-1 generators differing from its left neighbour,
-    exponents forced alternating.  Reduced model: first letter uniform over
-    all 2s letters, every later letter uniform over the 2s-1 letters that are
-    not the exact inverse of its neighbour.
-    """
-    bases = list(signature.bases())
-    s = len(bases)
-    letters = []
-    if model is StringModel.VALID:
-        prev = -1
-        for k in range(length):
-            if k == 0:
-                b = int(gen.integers(0, s))
-            else:
-                r = int(gen.integers(0, s - 1))
-                b = r + (r >= prev)
-            prev = b
-            f, g = bases[b]
-            letters.append(Letter(f, g, -1 if k % 2 == 0 else 1))
-    else:
-        prev_letter = -1
-        for k in range(length):
-            if k == 0:
-                ell = int(gen.integers(0, 2 * s))
-            else:
-                inv = prev_letter ^ 1
-                r = int(gen.integers(0, 2 * s - 1))
-                ell = r + (r >= inv)
-            prev_letter = ell
-            f, g = bases[ell >> 1]
-            letters.append(Letter(f, g, 1 if ell % 2 == 0 else -1))
-    return Word(signature, tuple(letters))
-
 
 def _draw_chunk(gen, count, length, s, model):
     # returns (base index array, exponent array), both (count, length)
@@ -211,7 +98,7 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
 
     With the default test tuple the survivors are exactly the bad strings.
     Dropping the reduce-and-reorder stage turns the report into a count of
-    strings merely surviving the cheap filters.
+    strings merely surviving the cheap parity filter.
     """
     sig = config.signature
     bases = list(sig.bases())
@@ -235,10 +122,9 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
                 for k in range(config.length):
                     sums[r, idx[:, k]] += exps[:, k]
                 ok = (sums == 0).all(axis=1)
-            elif test is TestKind.ADJACENT_REPEAT:
-                repeat = (idx[:, 1:] == idx[:, :-1]) & (exps[:, 1:] == exps[:, :-1])
-                ok = ~repeat.any(axis=1)
             else:
+                # a rotation of the string is a conjugate of it, so the
+                # string itself decides the identity for all its rotations
                 ok = alive.copy()
                 for i in np.flatnonzero(alive):
                     word = Word(
@@ -248,7 +134,7 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
                             for k in range(config.length)
                         ),
                     )
-                    ok[i] = reduce_reorder_test(word)
+                    ok[i] = normal_form(word).is_identity
             rejections[test] += int((alive & ~ok).sum())
             alive &= ok
         bad_total += int(alive.sum())
@@ -315,20 +201,3 @@ def estimate_decay_rate(
         residual,
         roots,
     )
-
-
-def synthetic_normal_frequencies(
-    lengths,
-    samples: int,
-    seed: int,
-    mean: float = 0.23,
-    sd: float = 0.25,
-) -> np.ndarray:
-    """Draws from a fixed normal distribution, one row per length.
-
-    Synthetic and non-physical: nothing ties these numbers to string
-    statistics.  They exist to exercise fitting and plotting code with data
-    of the historical pipeline's shape, and for nothing else.
-    """
-    gen = rng.philox(seed, 0xD1A6)
-    return gen.normal(mean, sd, size=(len(list(lengths)), samples))

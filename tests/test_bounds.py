@@ -23,10 +23,10 @@ from leinert import (
     quadratic_coeffs,
     r_squared_closed_form,
     radius_from_discriminant,
-    radius_from_vertical_tangent,
     solve_G_upper,
     woess_radius,
 )
+from reference_radius import radius_from_vertical_tangent
 
 
 def uniform(n, a):
@@ -102,13 +102,15 @@ class TestWoessRadius:
         assert 0 < r < math.inf and 0 < theta < math.inf
 
     def test_vertical_tangent_agrees(self):
-        for n, a in ((3, 0.5), (4, 0.25), (6, 0.125), (8, 1.0)):
-            w = uniform(n, a)
+        profiles = [uniform(n, a) for n, a in ((3, 0.5), (4, 0.25), (6, 0.125), (8, 1.0))]
+        for w in profiles + [(0.1, 0.2, 0.3, 0.4), (0.05, 0.5, 0.3)]:
             r, _ = woess_radius(w)
             assert radius_from_vertical_tangent(w) == pytest.approx(r, rel=1e-10)
 
-    def test_vertical_tangent_degenerate_falls_back(self):
-        assert radius_from_vertical_tangent(uniform(2, 0.25)) == pytest.approx(2.0)
+    def test_vertical_tangent_two_letters_raises(self):
+        # no vertical tangent at finite x: the oracle fails instead of guessing
+        with pytest.raises(ConvergenceError):
+            radius_from_vertical_tangent(uniform(2, 0.25))
 
 
 class TestQFunction:

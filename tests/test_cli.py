@@ -1,12 +1,15 @@
 """Command-line surface: exit codes, outputs, manifests."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from leinert import cli
 from leinert.bounds import ConvergenceError
 from leinert.cli import run
 
@@ -68,6 +71,44 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["census", "--group", "F2xF2"],
+            ["sample", "--group", "F2xF2", "--seed", "1"],
+            ["figure", "--seed", "1"],
+        ],
+        ids=["census", "sample", "figure"],
+    )
+    def test_max_length_below_two_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert run(argv + ["--max-length", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            "argument --max-length: max length must be >= 2, got 1"
+        )
+        assert not out.exists()
+
+    def test_refused_config_writes_nothing(self, tmp_path, capsys):
+        # figure_bounds.dat is computed before the spectral config is refused
+        out = tmp_path / "f"
+        assert run(["figure", "--N", "1", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: N must be >= 2"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["radius", "--s", "2", "--a", "0.25", "--out", "r"],
+            ["census", "--group", "Z3", "--format", "csv"],
+            ["census", "--group", "Z3", "--threads", "2"],
+        ],
+        ids=["radius-out", "format", "threads"],
+    )
+    def test_retired_flags_are_usage_errors(self, argv):
+        assert run(argv) == 2
+
     def test_version(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
@@ -96,17 +137,16 @@ class TestCensus:
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "census.csv").read_bytes() == (b / "census.csv").read_bytes()
 
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "j"
-        assert run(
-            [
-                "census", "--group", "F2xF2", "--max-length", "8",
-                "--out", str(out), "--format", "json",
-            ]
-        ) == 0
-        rows = json.loads((out / "census.json").read_text())
-        assert rows[-1]["bad"] == 16
-        assert rows[-1]["frequency"] == "4/2187"
+    def test_duration_times_the_run(self, tmp_path, monkeypatch):
+        def slow_census(*args, **kwargs):
+            time.sleep(0.2)
+            return take_census(*args, **kwargs)
+
+        take_census = cli.take_census
+        monkeypatch.setattr(cli, "take_census", slow_census)
+        out = tmp_path / "c"
+        assert run(["census", "--group", "Z3", "--max-length", "4", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.2
 
 
 class TestSample:
@@ -122,11 +162,19 @@ class TestSample:
         assert rows[0] == "length,samples,bad,freq,wilson_lo,wilson_hi"
         assert len(rows) == 5
 
-    def test_generates_seed_when_missing(self, capsys):
+    def test_generates_seed_when_missing(self, tmp_path, capsys):
+        out = tmp_path / "s"
         assert run(
-            ["sample", "--group", "F2xF2", "--max-length", "4", "--samples", "100"]
+            [
+                "sample", "--group", "F2xF2", "--max-length", "4", "--samples", "100",
+                "--out", str(out),
+            ]
         ) == 0
-        assert "seed:" in capsys.readouterr().out
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("seed: ") and first.endswith(" (generated)")
+        # the manifest records the seed the run drew, not the missing flag
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == int(first.split()[1])
 
 
 class TestVerifySeries:
@@ -148,6 +196,9 @@ class TestVerifySeries:
         blob = json.loads((out / "series_tables.json").read_text())
         assert blob["tables"]["signature"] == "F1xF1"
         assert blob["recurrence_residuals"]["even_return"] == "0"
+        # the weight filled in during the run is the one recorded
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["a"] == "1/5"
 
     def test_rational_flags(self, capsys):
         assert run(
@@ -225,6 +276,22 @@ class TestSpectral:
         ) == 0
         summary = json.loads((out / "spectral_summary.json").read_text())
         assert summary["trials"] == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]["spectral.csv"] == digest(out / "spectral.csv")
+
+    def test_unconverged_trials_write_then_exit_3(self, tmp_path, monkeypatch, capsys):
+        def starved(config):
+            return estimate(dataclasses.replace(config, max_iters=2))
+
+        estimate = cli.estimate_z_inverse
+        monkeypatch.setattr(cli, "estimate_z_inverse", starved)
+        out = tmp_path / "sp"
+        argv = ["spectral", "--s", "1", "--N", "6", "--trials", "1", "--seed", "0"]
+        assert run(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: some trials did not converge"
+        ]
+        assert json.loads((out / "spectral_summary.json").read_text())["all_converged"] is False
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"]["spectral.csv"] == digest(out / "spectral.csv")
 

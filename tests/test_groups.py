@@ -13,7 +13,6 @@ from leinert import (
     StringKind,
     Word,
     classify_string,
-    cyclic_rotations,
     exponent_sums,
     is_bad,
     is_kernel,
@@ -175,12 +174,9 @@ class TestBadAndKernel:
     def test_rotations_of_bad_stay_identity(self):
         # cyclic rotation conjugates the element, so identity is preserved;
         # reducedness can break at the seam but not for this string
-        for rot in cyclic_rotations(w(KERNEL8)):
-            assert normal_form(rot).is_identity
-
-    def test_rotation_count(self):
-        assert len(cyclic_rotations(w(KERNEL8))) == 8
-        assert len(cyclic_rotations(Word(F2F2, ()))) == 1
+        letters = w(KERNEL8).letters
+        for k in range(len(letters)):
+            assert normal_form(Word(F2F2, letters[k:] + letters[:k])).is_identity
 
 
 def _all_letters(sig):
@@ -203,6 +199,42 @@ def words(draw):
                 kept.append(ell)
         letters = kept
     return Word(sig, tuple(letters))
+
+
+@st.composite
+def conjugation_cases(draw):
+    """A word w and a conjugator u over one random small signature.
+
+    Half the time w evaluates to the identity: it interleaves the factor
+    words of v v^-1 in a random order, which the commuting factors allow,
+    so it rarely looks like v v^-1 as a string.
+    """
+    ranks = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    sig = GroupSignature(tuple(ranks))
+    letters = st.lists(st.sampled_from(_all_letters(sig)), max_size=6)
+    word = Word(sig, tuple(draw(letters)))
+    if draw(st.booleans()):
+        word = word * word.inverse()
+        queues = [[ell for ell in word.letters if ell.factor == f] for f in range(len(ranks))]
+        order = draw(st.permutations([ell.factor for ell in word.letters]))
+        word = Word(sig, tuple(queues[f].pop(0) for f in order))
+    return word, Word(sig, tuple(draw(letters)))
+
+
+class TestNormalFormProperties:
+    """Inverse and conjugation, which let the sampler check one string for
+    all of its rotations."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=conjugation_cases())
+    def test_inverse_and_conjugation(self, case):
+        word, u = case
+        identity = normal_form(word).is_identity
+        assert normal_form(word * word.inverse()).is_identity
+        assert normal_form(u * word * u.inverse()).is_identity == identity
+        for k in range(len(word)):
+            rotation = Word(word.signature, word.letters[k:] + word.letters[:k])
+            assert normal_form(rotation).is_identity == identity
 
 
 class TestKernelCriterion:

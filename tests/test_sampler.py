@@ -1,26 +1,27 @@
 """Monte Carlo sampling: predicates, estimates, intervals."""
 
+import itertools
+
 import pytest
 import scipy.stats
 
 from leinert import (
+    GroupSignature,
+    Letter,
     SampleConfig,
     StringModel,
+    Word,
     estimate_bad_frequency,
     estimate_decay_rate,
+    exponent_sums,
     is_bad,
+    is_reduced_string,
+    is_valid_string,
     parse_signature,
     wilson_interval,
     word_from_text,
 )
-from leinert.sampler import (
-    adjacent_repeat_test,
-    parity_test,
-    reduce_reorder_test,
-    sample_string,
-    synthetic_normal_frequencies,
-)
-from leinert import rng
+from leinert import rng, sampler
 
 F2F2 = parse_signature("F2xF2")
 KERNEL8 = "f1g1' f1g2 f2g1' f2g2 f1g2' f1g1 f2g2' f2g1"
@@ -30,46 +31,46 @@ def w(text):
     return word_from_text(F2F2, text)
 
 
+def balanced(word):
+    # the parity stage's condition: every exponent sum vanishes
+    return not any(any(row) for row in exponent_sums(word))
+
+
 class TestPredicates:
     def test_parity_necessary_for_bad(self):
         word = w(KERNEL8)
-        assert is_bad(word) and parity_test(word)
-        assert not parity_test(w("f1g1' f2g1"))
+        assert is_bad(word) and balanced(word)
+        assert not balanced(w("f1g1' f2g1"))
 
     def test_parity_not_sufficient(self):
         # balanced exponents but nontrivial in the factor free group
         word = w("f1g1' f1g2' f1g1 f1g2")
-        assert parity_test(word) and not is_bad(word)
-
-    def test_adjacent_repeat(self):
-        assert adjacent_repeat_test(w(KERNEL8))
-        assert not adjacent_repeat_test(w("f1g1 f1g1"))
+        assert balanced(word) and not is_bad(word)
 
     def test_reduce_reorder_exact(self):
-        assert reduce_reorder_test(w(KERNEL8))
-        assert not reduce_reorder_test(w("f1g1' f2g1"))
-
-    def test_reduce_reorder_capped_misses_braided_cancellation(self):
-        # the interleaved kernel only cancels through the factor stacks;
-        # a string-adjacent scanner never fires on it
-        word = w(KERNEL8)
-        assert not reduce_reorder_test(word, max_passes=8)
-        # but a plainly nested string is caught in one pass
-        nested = w("f1g1 f2g1 f2g1' f1g1'")
-        assert reduce_reorder_test(nested, max_passes=1)
+        # the exact stage alone finds the same bad strings; parity only
+        # saves it work
+        exact_only = (sampler.TestKind.REDUCE_REORDER,)
+        for model, length in ((StringModel.VALID, 8), (StringModel.REDUCED, 6)):
+            full = estimate_bad_frequency(SampleConfig(F2F2, length, 4000, 3, model))
+            exact = estimate_bad_frequency(
+                SampleConfig(F2F2, length, 4000, 3, model, tests=exact_only)
+            )
+            assert exact.bad_count == full.bad_count > 0
 
 
 class TestSampling:
     def test_sample_string_models(self):
-        gen = rng.philox(1, 2)
-        for model in (StringModel.VALID, StringModel.REDUCED):
-            word = sample_string(F2F2, 8, model, gen)
-            assert len(word) == 8
-            if model is StringModel.VALID:
-                assert all(
-                    ell.exp == (-1 if k % 2 == 0 else 1)
-                    for k, ell in enumerate(word.letters)
+        # every drawn row is a string of its model
+        bases = list(F2F2.bases())
+        checks = {StringModel.VALID: is_valid_string, StringModel.REDUCED: is_reduced_string}
+        for model, is_member in checks.items():
+            idx, exps = sampler._draw_chunk(rng.philox(1, 2), 500, 8, len(bases), model)
+            for row_idx, row_exps in zip(idx, exps):
+                letters = tuple(
+                    Letter(*bases[b], int(e)) for b, e in zip(row_idx, row_exps)
                 )
+                assert is_member(Word(F2F2, letters))
 
     def test_deterministic_given_seed(self):
         config = SampleConfig(F2F2, 8, 2000, seed=5)
@@ -101,6 +102,24 @@ class TestSampling:
             SampleConfig(F2F2, 8, 4000, seed=2, model=StringModel.REDUCED)
         )
         assert 0 <= report.bad_count <= 4000
+
+    def test_reduced_model_covers_enumerated_frequency(self):
+        # reduced strings may repeat a letter (x x), and such strings can be
+        # bad; the estimate must cover the count of all of them
+        sig = GroupSignature((1, 1))
+        alphabet = [Letter(f, g, e) for f, g in sig.bases() for e in (-1, 1)]
+        reduced = bad = 0
+        for letters in itertools.product(alphabet, repeat=6):
+            word = Word(sig, letters)
+            if is_reduced_string(word):
+                reduced += 1
+                bad += is_bad(word)
+        assert (bad, reduced) == (40, 972)
+        report = estimate_bad_frequency(
+            SampleConfig(sig, 6, 200_000, seed=11, model=StringModel.REDUCED)
+        )
+        lo, hi = wilson_interval(report.bad_count, 200_000, z=5.0)
+        assert lo <= bad / reduced <= hi
 
 
 class TestWilson:
@@ -140,12 +159,3 @@ class TestDecayRate:
         est = estimate_decay_rate(F2F2, [8, 10, 12], 40_000, seed=4)
         assert len(est.lengths) == 3
         assert 0 < est.rate < 1
-
-    def test_synthetic_is_labeled_synthetic(self):
-        assert "non-physical" in synthetic_normal_frequencies.__doc__
-
-    def test_synthetic_shape_and_determinism(self):
-        a = synthetic_normal_frequencies([4, 6, 8], 50, seed=3)
-        b = synthetic_normal_frequencies([4, 6, 8], 50, seed=3)
-        assert a.shape == (3, 50)
-        assert (a == b).all()
