@@ -66,7 +66,6 @@ from .groups import (
     StringKind,
     Word,
     classify_string,
-    exponent_sums,
     is_bad,
     is_kernel,
     is_reduced_string,

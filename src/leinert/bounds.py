@@ -118,16 +118,30 @@ def eval_P_prime(t: float, weights: Sequence[float]) -> float:
     return 0.5 * acc
 
 
+def eval_P_second(t: float, weights: Sequence[float]) -> float:
+    """d2P/dt2 = half the sum of 4 alpha^2 / (1 + 4 alpha^2 t^2)^(3/2)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    acc = 0.0
+    for alpha in weights:
+        a2 = alpha * alpha
+        acc += 4.0 * a2 / (1.0 + 4.0 * a2 * t * t) ** 1.5
+    return 0.5 * acc
+
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton on the stationarity t P'(t) = P(t) stops once |t P' - P| <= this * P
+STATIONARITY_TOL = 1e-12
 
 
 def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
     """Radius candidate r = theta / P(theta) minimizing P(t)/t, with theta.
 
     With n >= 3 letters the minimum is interior and Newton polish on the
-    stationarity t P'(t) = P(t) follows a golden-section bracket.  With
-    n <= 2 the infimum sits at t -> infinity and equals the total weight,
-    so the pair (1 / sum(weights), inf) is returned.
+    stationarity t P'(t) = P(t) follows a golden-section bracket; it raises
+    ConvergenceError unless |t P' - P| <= STATIONARITY_TOL * P within 60
+    steps.  With n <= 2 the infimum sits at t -> infinity and equals the
+    total weight, so the pair (1 / sum(weights), inf) is returned.
     """
     weights = [float(w) for w in weights]
     if any(w <= 0 for w in weights):
@@ -161,20 +175,17 @@ def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
             break
     theta = 0.5 * (a + b)
 
-    # Newton on g(t) = t P'(t) - P(t); g' = t P''
-    def second(t, h=None):
-        h = h or max(1e-6, 1e-6 * t)
-        return (eval_P_prime(t + h, weights) - eval_P_prime(t - h, weights)) / (2 * h)
-
+    # Newton on g(t) = t P'(t) - P(t); g' = t P'' > 0
     for _ in range(60):
-        g = theta * eval_P_prime(theta, weights) - eval_P(theta, weights)
-        dg = theta * second(theta)
-        if dg == 0:
+        p = eval_P(theta, weights)
+        g = theta * eval_P_prime(theta, weights) - p
+        if abs(g) <= STATIONARITY_TOL * p:
             break
-        step = g / dg
-        theta -= step
-        if abs(step) < 1e-14 * theta:
-            break
+        theta -= g / (theta * eval_P_second(theta, weights))
+    else:
+        raise ConvergenceError(
+            f"Newton left |t P' - P| = {abs(g):.3g} at t = {theta:.17g} after 60 steps"
+        )
     return theta / eval_P(theta, weights), theta
 
 

@@ -281,7 +281,7 @@ def _cmd_spectral(args, manifest: _Manifest) -> int:
         a=args.a,
         trials=args.trials,
         seed=args.seed,
-        power_tol=args.tol,
+        tol=args.tol,
     )
     estimate = estimate_z_inverse(config)
     print(
@@ -412,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument(
+        "--tol", type=float, default=1e-6, help="bound on the relative Ritz residual (s >= 2)"
+    )
     add_out(p)
     p.set_defaults(func=_cmd_spectral)
 

@@ -143,20 +143,30 @@ class NormalForm:
         return sum(len(w) for w in self.factor_words)
 
 
-def normal_form(word: Word) -> NormalForm:
-    """Evaluate a string by pushing letters through per-factor stacks.
+def reduce_stacks(letters: Iterable[tuple[int, int]], num_factors: int) -> list[list[int]]:
+    """Push (factor, signed generator) pairs through per-factor stacks.
 
-    Only adjacent inverse pairs cancel; equal letters stack up rather than
-    merging, so the stacks are exactly the freely reduced factor words.
+    Generator j of a factor is signed as +-(j + 1), the sign carrying the
+    exponent.  Only adjacent inverse pairs cancel; equal letters stack up
+    rather than merging, so the stacks end as the freely reduced factor
+    words.
     """
-    stacks: list[list[int]] = [[] for _ in word.signature.factors]
-    for ell in word.letters:
-        stack = stacks[ell.factor]
-        signed = ell.exp * (ell.gen + 1)
+    stacks: list[list[int]] = [[] for _ in range(num_factors)]
+    for factor, signed in letters:
+        stack = stacks[factor]
         if stack and stack[-1] == -signed:
             stack.pop()
         else:
             stack.append(signed)
+    return stacks
+
+
+def normal_form(word: Word) -> NormalForm:
+    """Evaluate a string by pushing its letters through reduce_stacks."""
+    stacks = reduce_stacks(
+        ((ell.factor, ell.exp * (ell.gen + 1)) for ell in word.letters),
+        word.signature.num_factors,
+    )
     return NormalForm(word.signature, tuple(tuple(s) for s in stacks))
 
 
@@ -239,14 +249,6 @@ def is_kernel(word: Word) -> bool:
         ((ell.factor, ell.gen, ell.exp) for ell in word.letters),
         word.signature.num_factors,
     )
-
-
-def exponent_sums(word: Word) -> tuple[tuple[int, ...], ...]:
-    """Net exponent of every generator: the image in the abelianization."""
-    sums = [[0] * rank for rank in word.signature.factors]
-    for ell in word.letters:
-        sums[ell.factor][ell.gen] += ell.exp
-    return tuple(tuple(row) for row in sums)
 
 
 # text form: f<i>g<j> is generator j of factor i (1-based), trailing ' inverts

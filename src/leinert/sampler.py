@@ -9,9 +9,9 @@ estimates the census frequency.
 
 Sampling is vectorized in fixed-size chunks, each chunk drawing from a
 counter-based stream keyed by (seed, length, model, chunk index), so reports
-are reproducible and independent of how chunks are scheduled.  Only parity
-survivors are materialized as Words for the exact reduction check; everything
-before that is array arithmetic.
+are reproducible and independent of how chunks are scheduled.  Everything up
+to the parity stage is array arithmetic; only the parity survivors leave
+numpy, as rows of (factor, signed generator) ints for groups.reduce_stacks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .census import GrowthEstimate, fit_exponential_rate
-from .groups import GroupSignature, Letter, Word, normal_form
+from .groups import GroupSignature, reduce_stacks
 
 CHUNK = 16384
 
@@ -103,6 +103,8 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
     sig = config.signature
     bases = list(sig.bases())
     s = len(bases)
+    factor_of = np.array([f for f, _ in bases])
+    code_of = np.array([g + 1 for _, g in bases])
     model_tag = 0 if config.model is StringModel.VALID else 1
     rejections = {t: 0 for t in config.tests}
     bad_total = 0
@@ -125,16 +127,15 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
             else:
                 # a rotation of the string is a conjugate of it, so the
                 # string itself decides the identity for all its rotations
+                live = np.flatnonzero(alive)
+                letters = idx[live]
+                factors = factor_of[letters].tolist()
+                signed = (exps[live] * code_of[letters]).tolist()
                 ok = alive.copy()
-                for i in np.flatnonzero(alive):
-                    word = Word(
-                        sig,
-                        tuple(
-                            Letter(*bases[idx[i, k]], int(exps[i, k]))
-                            for k in range(config.length)
-                        ),
-                    )
-                    ok[i] = normal_form(word).is_identity
+                ok[live] = [
+                    not any(reduce_stacks(zip(f, g), sig.num_factors))
+                    for f, g in zip(factors, signed)
+                ]
             rejections[test] += int((alive & ~ok).sum())
             alive &= ok
         bad_total += int(alive.sum())

@@ -1,11 +1,21 @@
-"""Haar-unitary norm experiment: sample independent unitaries, apply
-T = a * sum_i (U_i (x) I + I (x) V_i) matrix-free, and estimate its 2-norm
-by power iteration on T*T.
+"""Haar-unitary norm experiment: sample independent unitaries and compute
+the 2-norm of T = a * sum_i (U_i (x) I + I (x) V_i) without forming it.
+
+T is the tensor sum A (x) I + I (x) B with A = a sum_i U_i and
+B = a sum_i V_i, so a product with T costs two N x N matmuls for any s.
+
+For s >= 2 the norm comes from three-term Lanczos on T*T, which keeps two
+vectors and no Krylov basis.  It stops on the Ritz residual: with theta the
+largest eigenvalue of the k x k Lanczos tridiagonal and y its unit
+eigenvector, some eigenvalue of T*T lies within beta_k |e_k^T y| of theta
+(Parlett, The Symmetric Eigenvalue Problem, ch. 13), and theta approaches
+the largest one from below.  For s = 1, U (x) I and I (x) V are commuting
+normal operators, so T is normal and its norm is a max |lambda_i + mu_j|
+over the eigenvalues of U and V, computed directly.
 
 The mean over trials approximates the reciprocal radius the bounds module
-predicts; the classical strong-convergence limit for s independent pairs
-is 2 sqrt(2s-1) at a=1, with s=1 the commuting control where the norm is
-exactly 2 (the two legs share no interaction).
+predicts; the strong-convergence limit for s independent pairs is
+2a sqrt(2s-1), which at s = 1 is 2a, the limit of a max |lambda + mu|.
 """
 
 from __future__ import annotations
@@ -13,10 +23,16 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
+
+# Lanczos steps per restart cycle.  It bounds the tridiagonal the stop test
+# diagonalizes, so a trial that never converges costs O(max_iters) matvecs
+# rather than O(max_iters^4) flops of eigh.
+KRYLOV_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -26,7 +42,7 @@ class SpectralConfig:
     a: float = 1.0
     trials: int = 4
     seed: int = 0
-    power_tol: float = 1e-6
+    tol: float = 1e-6
     max_iters: int = 5000
 
     def __post_init__(self):
@@ -58,12 +74,10 @@ class TensorOperands:
     def dim(self) -> int:
         return self.left[0].shape[0]
 
-    def adjoint(self) -> "TensorOperands":
-        return TensorOperands(
-            a=self.a,
-            left=tuple(u.conj().T for u in self.left),
-            right=tuple(v.conj().T for v in self.right),
-        )
+    @cached_property
+    def collapsed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) = (a sum_i U_i, a sum_i V_i), so T = A (x) I + I (x) B."""
+        return self.a * sum(self.left), self.a * sum(self.right)
 
 
 def haar_unitary(N: int, gen: np.random.Generator) -> np.ndarray:
@@ -77,17 +91,61 @@ def haar_unitary(N: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def apply_T(v: np.ndarray, operands: TensorOperands) -> np.ndarray:
-    """Row-major matrix-free product: (U (x) I)v = U M, (I (x) V)v = M V^T
+    """Row-major matrix-free product: (A (x) I)v = A M, (I (x) B)v = M B^T
     for v reshaped to the N x N matrix M."""
     n = operands.dim
     if v.shape != (n * n,):
         raise ValueError(f"vector must have length {n * n}")
+    a, b = operands.collapsed
     m = v.reshape(n, n)
-    out = np.zeros_like(m)
-    for u, w in zip(operands.left, operands.right):
-        out += u @ m
-        out += m @ w.T
-    return (operands.a * out).reshape(-1)
+    return (a @ m + m @ b.T).reshape(-1)
+
+
+@dataclass(frozen=True)
+class TrialNorm:
+    """One trial's norm with its certificate.
+
+    `residual` is relative: some singular value of T lies within
+    residual * norm of norm (0 for the exact s = 1 path and on Lanczos
+    breakdown).  `steps` counts products with T*T.  Unpacks as
+    (norm, steps, converged).
+    """
+
+    norm: float
+    steps: int
+    converged: bool
+    residual: float
+
+    def __iter__(self):
+        return iter((self.norm, self.steps, self.converged))
+
+
+def _lanczos(op, q: np.ndarray, steps: int):
+    """Three-term Lanczos recurrence for the Hermitian `op`, started at q.
+
+    Yields (q_j, alpha_j, beta_j) for j = 1, 2, ... up to `steps`, holding
+    two vectors at a time; stops early on breakdown (beta_j = 0, where the
+    Krylov space is invariant and its Ritz values are exact eigenvalues).
+    """
+    q = q / np.linalg.norm(q)
+    prev, beta = np.zeros_like(q), 0.0
+    for _ in range(steps):
+        w = op(q) - beta * prev
+        alpha = float(np.vdot(q, w).real)
+        w -= alpha * q
+        beta = float(np.linalg.norm(w))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        prev, q = q, w / beta
+
+
+def _top_ritz(alphas: list, betas: list) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the Lanczos tridiagonal and its unit eigenvector."""
+    k = len(alphas)
+    tri = np.diag(alphas) + np.diag(betas[: k - 1], -1)
+    values, vectors = np.linalg.eigh(tri)  # reads the lower triangle
+    return float(values[-1]), vectors[:, -1]
 
 
 def two_norm(
@@ -95,30 +153,48 @@ def two_norm(
     tol: float = 1e-6,
     max_iters: int = 5000,
     gen: np.random.Generator | None = None,
-) -> tuple[float, int, bool]:
-    """Largest singular value of T by power iteration on T*T.
+) -> TrialNorm:
+    """Largest singular value of T by restarted Lanczos on T*T.
 
-    Returns (estimate, iterations, converged); convergence means two
-    successive Rayleigh-quotient square roots within tol relative.
+    Converged means beta_k |e_k^T y| <= tol * theta, which puts a singular
+    value of T within tol * sqrt(theta) of the returned sqrt(theta).  The
+    test runs at steps 1..8 and then every k // 8 steps.  A cycle that reaches KRYLOV_DIM steps restarts
+    from its top Ritz vector, rebuilt by running the recurrence again; the
+    rebuild counts towards `steps`, which stops at max_iters.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     gen = gen or np.random.default_rng(0)
-    n2 = operands.dim ** 2
-    adj = operands.adjoint()
-    v = rng.standard_complex_normal(gen, n2)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for it in range(1, max_iters + 1):
-        w = apply_T(v, operands)
-        new_sigma = float(np.linalg.norm(w))
-        v = apply_T(w, adj)
-        norm_v = np.linalg.norm(v)
-        if norm_v == 0:
-            return 0.0, it, True
-        v /= norm_v
-        if it > 1 and abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma, it, True
-        sigma = new_sigma
-    return sigma, max_iters, False
+    n = operands.dim
+    a, b = operands.collapsed
+    a_adj, b_conj = a.conj().T, b.conj()
+
+    def normal(v):  # T*T v, with T* = A^H (x) I + I (x) B^H
+        t = apply_T(v, operands).reshape(n, n)
+        return (a_adj @ t + t @ b_conj).reshape(-1)
+
+    start = rng.standard_complex_normal(gen, n * n)
+    steps = 0
+    while True:
+        cycle = min(KRYLOV_DIM, max_iters - steps)
+        alphas, betas, check = [], [], 1
+        for _, alpha, beta in _lanczos(normal, start, cycle):
+            alphas.append(alpha)
+            betas.append(beta)
+            k = len(alphas)
+            if k in (check, cycle) or beta == 0.0:
+                theta, y = _top_ritz(alphas, betas)
+                bound = beta * float(abs(y[-1]))
+                if bound <= tol * theta:
+                    break
+                check = k + max(1, k // 8)
+        steps += k
+        converged = bool(bound <= tol * theta)
+        if converged or steps + k >= max_iters:
+            residual = bound / theta if theta else 0.0
+            return TrialNorm(math.sqrt(max(theta, 0.0)), steps, converged, residual)
+        start = sum(yj * q for yj, (q, _, _) in zip(y, _lanczos(normal, start, k)))
+        steps += k
 
 
 @dataclass(frozen=True)
@@ -127,6 +203,7 @@ class NormEstimate:
     norms: tuple[float, ...]
     iterations: tuple[int, ...]
     converged: tuple[bool, ...]
+    residuals: tuple[float, ...]
 
     @property
     def mean(self) -> float:
@@ -146,51 +223,58 @@ class NormEstimate:
 def estimate_z_inverse(config: SpectralConfig) -> NormEstimate:
     """Sample `trials` independent operand sets and average their norms.
 
-    Each trial draws 2s Haar unitaries and a start vector from its own
-    derived stream, so trial k is reproducible in isolation.  Every norm
-    is checked against the triangle-inequality ceiling 2 s a.
+    Each trial draws 2s Haar unitaries and, for s >= 2, a Lanczos start
+    vector from its own derived stream, so trial k is reproducible in
+    isolation.  Every norm is checked against the triangle-inequality
+    ceiling 2 s a.
     """
-    norms, iters, flags = [], [], []
+    results = []
     ceiling = 2.0 * config.s * config.a
     for trial in range(config.trials):
         gen = rng.philox(config.seed, 0x5EC7, trial)
         left = tuple(haar_unitary(config.N, gen) for _ in range(config.s))
         right = tuple(haar_unitary(config.N, gen) for _ in range(config.s))
-        operands = TensorOperands(a=config.a, left=left, right=right)
-        sigma, it, ok = two_norm(
-            operands, tol=config.power_tol, max_iters=config.max_iters, gen=gen
-        )
-        if sigma > ceiling * (1.0 + 1e-9):
-            raise RuntimeError(
-                f"trial {trial}: norm {sigma} exceeds the ceiling {ceiling}"
+        if config.s == 1:
+            # T is normal with eigenvalues a (lambda_i + mu_j)
+            lam, mu = np.linalg.eigvals(left[0]), np.linalg.eigvals(right[0])
+            sigma = config.a * float(np.abs(lam[:, None] + mu).max())
+            result = TrialNorm(sigma, 0, True, 0.0)
+        else:
+            operands = TensorOperands(a=config.a, left=left, right=right)
+            result = two_norm(
+                operands, tol=config.tol, max_iters=config.max_iters, gen=gen
             )
-        norms.append(sigma)
-        iters.append(it)
-        flags.append(ok)
+        if result.norm > ceiling * (1.0 + 1e-9):
+            raise RuntimeError(
+                f"trial {trial}: norm {result.norm} exceeds the ceiling {ceiling}"
+            )
+        results.append(result)
     return NormEstimate(
         config=config,
-        norms=tuple(norms),
-        iterations=tuple(iters),
-        converged=tuple(flags),
+        norms=tuple(r.norm for r in results),
+        iterations=tuple(r.steps for r in results),
+        converged=tuple(r.converged for r in results),
+        residuals=tuple(r.residual for r in results),
     )
 
 
 def free_limit(s: int, a: float = 1.0) -> float:
-    """The strong-convergence prediction 2 a sqrt(2s-1), with the commuting
-    s=1 exception where the exact value is 2a."""
-    if s == 1:
-        return 2.0 * a
+    """The strong-convergence limit 2 a sqrt(2s-1) of the norm as N grows.
+
+    At s = 1 this is 2a, the supremum of a |lambda + mu| over the unit
+    circle; at finite N the norm a max |lambda_i + mu_j| falls short of it.
+    """
     return 2.0 * a * math.sqrt(2.0 * s - 1.0)
 
 
 def write_spectral_csv(estimate: NormEstimate, stream) -> None:
     cfg = estimate.config
-    stream.write("s,N,a,trial,norm,iterations,converged\n")
-    for trial, (norm, it, ok) in enumerate(
-        zip(estimate.norms, estimate.iterations, estimate.converged)
+    stream.write("s,N,a,trial,norm,iterations,converged,residual\n")
+    for trial, (norm, it, ok, res) in enumerate(
+        zip(estimate.norms, estimate.iterations, estimate.converged, estimate.residuals)
     ):
         stream.write(
-            f"{cfg.s},{cfg.N},{cfg.a:.12g},{trial},{norm:.12g},{it},{int(ok)}\n"
+            f"{cfg.s},{cfg.N},{cfg.a:.12g},{trial},{norm:.12g},{it},{int(ok)},{res:.3g}\n"
         )
 
 

@@ -26,6 +26,8 @@ from leinert import (
     solve_G_upper,
     woess_radius,
 )
+from leinert import bounds
+from leinert.bounds import eval_P_second
 from reference_radius import radius_from_vertical_tangent
 
 
@@ -69,6 +71,13 @@ class TestPFunction:
             fd = (eval_P(t + h, w) - eval_P(t - h, w)) / (2 * h)
             assert eval_P_prime(t, w) == pytest.approx(fd, rel=1e-6)
 
+    def test_p_second_matches_finite_difference(self):
+        for w in (uniform(6, 0.3), (0.05, 0.5, 0.3)):
+            for t in (0.2, 0.9, 2.1, 7.5):
+                h = 1e-6
+                fd = (eval_P_prime(t + h, w) - eval_P_prime(t - h, w)) / (2 * h)
+                assert eval_P_second(t, w) == pytest.approx(fd, rel=1e-7)
+
     def test_p_rejects_negative(self):
         with pytest.raises(ValueError):
             eval_P(-1.0, uniform(2, 0.5))
@@ -106,6 +115,14 @@ class TestWoessRadius:
         for w in profiles + [(0.1, 0.2, 0.3, 0.4), (0.05, 0.5, 0.3)]:
             r, _ = woess_radius(w)
             assert radius_from_vertical_tangent(w) == pytest.approx(r, rel=1e-10)
+
+    def test_newton_that_cannot_settle_raises(self, monkeypatch):
+        # a curvature 1e6 times too large shrinks every Newton step 1e6-fold,
+        # so 60 steps end far from stationarity
+        true_second = bounds.eval_P_second
+        monkeypatch.setattr(bounds, "eval_P_second", lambda t, w: 1e6 * true_second(t, w))
+        with pytest.raises(ConvergenceError):
+            woess_radius(uniform(4, 0.25))
 
     def test_vertical_tangent_two_letters_raises(self):
         # no vertical tangent at finite x: the oracle fails instead of guessing

@@ -286,7 +286,7 @@ class TestSpectral:
         estimate = cli.estimate_z_inverse
         monkeypatch.setattr(cli, "estimate_z_inverse", starved)
         out = tmp_path / "sp"
-        argv = ["spectral", "--s", "1", "--N", "6", "--trials", "1", "--seed", "0"]
+        argv = ["spectral", "--s", "2", "--N", "6", "--trials", "1", "--seed", "0"]
         assert run(argv + ["--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "warning: some trials did not converge"

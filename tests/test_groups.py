@@ -13,7 +13,6 @@ from leinert import (
     StringKind,
     Word,
     classify_string,
-    exponent_sums,
     is_bad,
     is_kernel,
     is_reduced_string,
@@ -26,6 +25,7 @@ from leinert import (
 )
 from reference_kernel import is_kernel as reference_is_kernel
 from reference_kernel import substrings
+from reference_parity import exponent_sums
 
 F2F2 = GroupSignature((2, 2))
 Z2 = GroupSignature((1, 1))

@@ -13,7 +13,6 @@ from leinert import (
     Word,
     estimate_bad_frequency,
     estimate_decay_rate,
-    exponent_sums,
     is_bad,
     is_reduced_string,
     is_valid_string,
@@ -22,6 +21,7 @@ from leinert import (
     word_from_text,
 )
 from leinert import rng, sampler
+from reference_parity import exponent_sums
 
 F2F2 = parse_signature("F2xF2")
 KERNEL8 = "f1g1' f1g2 f2g1' f2g2 f1g2' f1g1 f2g2' f2g1"
@@ -57,6 +57,31 @@ class TestPredicates:
                 SampleConfig(F2F2, length, 4000, 3, model, tests=exact_only)
             )
             assert exact.bad_count == full.bad_count > 0
+
+    @pytest.mark.parametrize(
+        "group, length, model",
+        [
+            ("F2xF2", 10, StringModel.VALID),
+            ("F1xF2", 8, StringModel.REDUCED),
+            ("F1xF1xF2", 8, StringModel.REDUCED),
+        ],
+    )
+    def test_exact_stage_matches_word_oracle(self, group, length, model):
+        # the raw-int stack pass decides each drawn row as is_bad on its Word
+        sig = parse_signature(group)
+        bases = list(sig.bases())
+        tag = 0 if model is StringModel.VALID else 1
+        gen = rng.philox(5, length, tag, 0)  # the stream of chunk 0
+        idx, exps = sampler._draw_chunk(gen, 3000, length, len(bases), model)
+        expected = sum(
+            is_bad(Word(sig, tuple(Letter(*bases[b], int(e)) for b, e in zip(i, x))))
+            for i, x in zip(idx, exps)
+        )
+        exact_only = (sampler.TestKind.REDUCE_REORDER,)
+        report = estimate_bad_frequency(
+            SampleConfig(sig, length, 3000, 5, model, tests=exact_only)
+        )
+        assert report.bad_count == expected > 0
 
 
 class TestSampling:

@@ -1,9 +1,12 @@
 """Haar unitaries and the tensor-sum norm estimator."""
 
+import io
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 import scipy.stats
 
 from leinert import (
@@ -17,11 +20,27 @@ from leinert import (
     rng,
     two_norm,
 )
-from leinert.spectral import spectral_summary
+from leinert import spectral
+from leinert.spectral import spectral_summary, write_spectral_csv
 
 
 def haar_tuple(count, N, gen):
     return tuple(haar_unitary(N, gen) for _ in range(count))
+
+
+def dense_T(operands):
+    eye = np.eye(operands.dim)
+    return operands.a * sum(
+        np.kron(u, eye) + np.kron(eye, v) for u, v in zip(operands.left, operands.right)
+    )
+
+
+def trial_operands(config, trial):
+    # the operands estimate_z_inverse draws for one trial
+    gen = rng.philox(config.seed, 0x5EC7, trial)
+    left = haar_tuple(config.s, config.N, gen)
+    right = haar_tuple(config.s, config.N, gen)
+    return TensorOperands(config.a, left, right)
 
 
 class TestHaar:
@@ -116,6 +135,77 @@ class TestTwoNorm:
         assert norm <= 4.0 * (1 + 1e-9)
 
 
+class TestLanczos:
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("a", [1.0, 0.25])
+    def test_within_residual_of_dense_norm(self, s, a):
+        for N in (3, 8, 20):
+            gen = rng.philox(N, s)
+            operands = TensorOperands(a, haar_tuple(s, N, gen), haar_tuple(s, N, gen))
+            exact = float(np.linalg.norm(dense_T(operands), 2))
+            result = two_norm(operands, gen=gen)
+            assert result.converged and 0 < result.residual <= 1e-6
+            assert abs(result.norm - exact) <= (result.residual + 1e-13) * exact
+            # a Ritz value of T*T approaches the top of the spectrum from below
+            assert result.norm <= exact * (1 + 1e-13)
+
+    def test_s2_N75_against_eigsh(self):
+        config = SpectralConfig(s=2, N=75, trials=1, seed=0)
+        est = estimate_z_inverse(config)
+        operands = trial_operands(config, 0)
+        n = config.N
+
+        def normal(v):
+            t = apply_T(np.ravel(v), operands).reshape(n, n)
+            a, b = operands.collapsed
+            return (a.conj().T @ t + t @ b.conj()).reshape(-1)
+
+        op = scipy.sparse.linalg.LinearOperator((n * n, n * n), matvec=normal, dtype=complex)
+        top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=1e-12, return_eigenvectors=False)
+        assert est.norms[0] == pytest.approx(math.sqrt(top[0]), rel=1e-9)
+
+    def test_identity_control_breaks_down(self):
+        # T = I: the start vector spans an invariant subspace, so beta_1 is
+        # zero up to the rounding of alpha_1
+        eye = (np.eye(8, dtype=complex),)
+        result = two_norm(TensorOperands(0.5, eye, eye), gen=rng.philox(0, 3))
+        assert (result.steps, result.converged) == (1, True)
+        assert result.residual < 1e-15
+        assert result.norm == pytest.approx(1.0, rel=1e-14)
+
+    def test_zero_operator_breaks_down(self):
+        # T = 0 gives beta_1 = 0 exactly, with nothing left to normalize
+        gen = rng.philox(1, 3)
+        u, v = haar_unitary(5, gen), haar_unitary(5, gen)
+        result = two_norm(TensorOperands(1.0, (u, -u), (v, -v)))
+        assert tuple(result) == (0.0, 1, True)
+
+    def test_restarts_reach_the_dense_norm(self, monkeypatch):
+        # cycles of 5 steps force several rebuilt restart vectors
+        monkeypatch.setattr(spectral, "KRYLOV_DIM", 5)
+        gen = rng.philox(2, 5)
+        operands = TensorOperands(1.0, haar_tuple(2, 6, gen), haar_tuple(2, 6, gen))
+        result = two_norm(operands, tol=1e-10, gen=gen)
+        assert result.converged and result.steps > 5
+        exact = float(np.linalg.norm(dense_T(operands), 2))
+        assert result.norm == pytest.approx(exact, rel=1e-9)
+
+    def test_clustered_s1_gives_up_in_bounded_time(self):
+        # at s = 1 the top of T*T is a cluster of N^2 eigenvalues; a residual
+        # of 1e-12 is out of reach, and max_iters = 5000 must end the trial
+        gen = rng.philox(0, 1)
+        operands = TensorOperands(1.0, haar_tuple(1, 40, gen), haar_tuple(1, 40, gen))
+        started = time.perf_counter()
+        result = two_norm(operands, tol=1e-12, gen=gen)
+        assert time.perf_counter() - started < 10.0
+        assert not result.converged and result.steps <= 5000
+
+    def test_max_iters_validated(self):
+        eye = (np.eye(2, dtype=complex),)
+        with pytest.raises(ValueError):
+            two_norm(TensorOperands(1.0, eye, eye), max_iters=0)
+
+
 class TestEstimate:
     def test_deterministic(self):
         config = SpectralConfig(s=2, N=15, trials=3, seed=11)
@@ -145,6 +235,24 @@ class TestEstimate:
         est = estimate_z_inverse(SpectralConfig(s=1, N=40, trials=2, seed=0))
         assert est.mean == pytest.approx(2.0, rel=0.02)
         assert free_limit(1) == 2.0
+
+    def test_s1_is_exact(self):
+        config = SpectralConfig(s=1, N=12, a=0.25, trials=3, seed=4)
+        est = estimate_z_inverse(config)
+        assert est.iterations == (0, 0, 0) and est.residuals == (0.0, 0.0, 0.0)
+        for trial, norm in enumerate(est.norms):
+            exact = float(np.linalg.norm(dense_T(trial_operands(config, trial)), 2))
+            assert norm == pytest.approx(exact, rel=1e-12)
+            assert norm < free_limit(1, 0.25)
+
+    def test_csv_has_residual_column(self):
+        est = estimate_z_inverse(SpectralConfig(s=2, N=10, trials=2, seed=3))
+        buf = io.StringIO()
+        write_spectral_csv(est, buf)
+        header, *rows = buf.getvalue().splitlines()
+        assert header == "s,N,a,trial,norm,iterations,converged,residual"
+        assert [float(r.split(",")[-1]) for r in rows] == pytest.approx(est.residuals, rel=1e-2)
+        assert all(0 < r <= 1e-6 for r in est.residuals)
 
     def test_free_limit_values(self):
         assert free_limit(2) == pytest.approx(2 * math.sqrt(3))
