@@ -1,8 +1,10 @@
 """Haar-unitary experiment for the norm the radius bounds predict.
 
 The operator a * sum_i (U_i (x) 1 + 1 (x) V_i) with independent Haar
-unitaries has 2-norm converging to the free value 2a sqrt(2s-1) as the
-dimension grows -- the reciprocal of the radius from the bounds side.
+unitaries is compared with the free value 2a sqrt(2s-1), the reciprocal of
+the radius from the bounds side.  The terms U_i (x) 1 and 1 (x) V_j commute,
+so at s >= 2 the operator is not a sum of 2s free unitaries, and the free
+value need not be its large-N norm.
 Lanczos on T*T computes the norm without forming the N^2 x N^2 matrix; at
 s = 1, where T is normal, the eigenvalues of U and V give it directly.
 """
@@ -39,8 +41,9 @@ est = estimate_z_inverse(SpectralConfig(s=1, N=60, trials=4, seed=0))
 print(f"\ns = 1, N = 60: mean {est.mean:.6f} vs limit {free_limit(1):.1f}"
       f" (= the ceiling 2sa here)")
 
-# norms sit above the limit at finite N and drift down; the bias is the
-# finite-dimensional edge fluctuation, not estimator error
+# at s = 2 the norms sit above 2 sqrt(3) and the gap grows with N in the
+# table above (+0.040 at N = 10 to +0.141 at N = 75, seed 0): nothing here
+# says 2a sqrt(2s-1) is this commuting tensor sum's large-N norm
 print("\nfive raw trials at s = 2, N = 40:")
 for trial in range(5):
     est = estimate_z_inverse(SpectralConfig(s=2, N=40, trials=1, seed=trial))

@@ -63,9 +63,7 @@ from .groups import (
     Letter,
     MalformedWordError,
     NormalForm,
-    StringKind,
     Word,
-    classify_string,
     is_bad,
     is_kernel,
     is_reduced_string,

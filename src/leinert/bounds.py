@@ -213,15 +213,31 @@ def quadratic_coeffs(z: float, D: float, s: int, a: float) -> tuple[float, float
 
 def fixed_point_G(z: float, problem: RadiusProblem, tol: float = 1e-12,
                   max_iters: int = 10000) -> float:
-    """Iterate g <- Q(z, g) from g = 1; converges below the upper radius."""
-    g = 1.0
+    """Iterate g <- Q(z, g) from g = 1; converges below the upper radius.
+
+    A map contracting by rho leaves the iterate within rho / (1 - rho) times
+    its last step of the fixed point, and rho -> 1 toward the radius, so the
+    stop bounds that error with rho = |step_k / step_(k-1)| instead of
+    trusting the step alone.  A ratio of 1 or more (past the radius, or
+    steps lost in rounding) raises rather than returning an unbounded iterate.
+    """
+    g, step = 1.0, None
     for _ in range(max_iters):
         nxt = eval_Q(z, g, problem)
         if not math.isfinite(nxt):
             raise ConvergenceError("fixed point diverged")
-        if abs(nxt - g) <= tol * max(1.0, abs(nxt)):
-            return nxt
-        g = nxt
+        new_step, g = abs(nxt - g), nxt
+        if new_step == 0.0:
+            return g
+        if step is not None:
+            rho = new_step / step
+            if rho >= 1.0:
+                raise ConvergenceError(
+                    f"fixed point stopped contracting at z = {z} (step ratio {rho:.3g})"
+                )
+            if rho / (1.0 - rho) * new_step <= tol * max(1.0, abs(g)):
+                return g
+        step = new_step
     raise ConvergenceError("fixed point did not settle")
 
 

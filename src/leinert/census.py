@@ -36,10 +36,8 @@ from .groups import (
     GroupSignature,
     Letter,
     Word,
-    is_bad,
     is_kernel,
     is_simple_cycle,
-    is_valid_string,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -277,23 +275,6 @@ def conjugation_extension_count(total_generators: int) -> int:
     if total_generators < 2:
         raise ValueError("need at least two generators")
     return total_generators - 2
-
-
-def conjugation_extensions(word: Word) -> list[Letter]:
-    """Brute-force companion to conjugation_extension_count.
-
-    Tries all 2s letters z and keeps those for which z^-1 word z is a valid
-    bad string.  For a bad valid string, apply this to word.conjugate(): the
-    flip makes room for the exponent pattern of the wrapper.
-    """
-    found = []
-    for factor, gen in word.signature.bases():
-        for exp in (-1, 1):
-            z = Letter(factor, gen, exp)
-            candidate = Word(word.signature, (z.inverse(),) + word.letters + (z,))
-            if is_valid_string(candidate) and is_bad(candidate):
-                found.append(z)
-    return found
 
 
 # -- compositions and walk-count identities -----------------------------------

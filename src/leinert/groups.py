@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 
@@ -187,20 +186,6 @@ def is_reduced_string(word: Word) -> bool:
         a.base != b.base or a.exp == b.exp
         for a, b in zip(word.letters, word.letters[1:])
     )
-
-
-class StringKind(Enum):
-    VALID = "valid"
-    REDUCED = "reduced"
-    NEITHER = "neither"
-
-
-def classify_string(word: Word) -> StringKind:
-    if is_valid_string(word):
-        return StringKind.VALID
-    if is_reduced_string(word):
-        return StringKind.REDUCED
-    return StringKind.NEITHER
 
 
 def is_bad(word: Word) -> bool:

@@ -9,9 +9,13 @@ estimates the census frequency.
 
 Sampling is vectorized in fixed-size chunks, each chunk drawing from a
 counter-based stream keyed by (seed, length, model, chunk index), so reports
-are reproducible and independent of how chunks are scheduled.  Everything up
-to the parity stage is array arithmetic; only the parity survivors leave
-numpy, as rows of (factor, signed generator) ints for groups.reduce_stacks.
+are reproducible and independent of how chunks are scheduled.  A chunk is
+one (length, count) array of letter codes 2*base + (1 if inverse).  Parity
+is exact integer arithmetic: each base carries the weight M^j, M = length + 1,
+in one of a few packed int64 words, and since no exponent sum exceeds the
+length in absolute value, a packed sum vanishes only when every per-base sum
+does.  Only the parity survivors leave numpy, as rows of (factor, signed
+generator) ints for groups.reduce_stacks.
 """
 
 from __future__ import annotations
@@ -75,22 +79,44 @@ class SampleReport:
 # -- sampling -----------------------------------------------------------------
 
 def _draw_chunk(gen, count, length, s, model):
-    # returns (base index array, exponent array), both (count, length)
-    if model is StringModel.VALID:
-        idx = np.empty((count, length), dtype=np.int64)
-        idx[:, 0] = gen.integers(0, s, size=count)
-        for k in range(1, length):
-            r = gen.integers(0, s - 1, size=count)
-            idx[:, k] = r + (r >= idx[:, k - 1])
-        exps = np.where(np.arange(length) % 2 == 0, -1, 1)
-        return idx, np.broadcast_to(exps, (count, length))
-    letters = np.empty((count, length), dtype=np.int64)
-    letters[:, 0] = gen.integers(0, 2 * s, size=count)
+    """Letter codes 2*base + (1 if inverse) of `count` strings, (length, count)."""
+    alphabet = 2 * s if model is StringModel.REDUCED else s
+    codes = np.empty((length, count), dtype=np.int64)
+    codes[0] = gen.integers(0, alphabet, size=count)
+    codes[1:] = gen.integers(0, alphabet - 1, size=(length - 1, count))
     for k in range(1, length):
-        inv = letters[:, k - 1] ^ 1
-        r = gen.integers(0, 2 * s - 1, size=count)
-        letters[:, k] = r + (r >= inv)
-    return letters >> 1, np.where(letters & 1 == 0, 1, -1)
+        # skip the one letter barred after the previous: its base (valid)
+        # or its inverse (reduced)
+        barred = codes[k - 1] ^ 1 if model is StringModel.REDUCED else codes[k - 1]
+        codes[k] += codes[k] >= barred
+    if model is StringModel.VALID:
+        codes <<= 1
+        codes[::2] |= 1  # valid strings alternate x^-1 y x^-1 y ...
+    return codes
+
+
+def _parity_weights(s, length):
+    """(2s, words) table whose packed column sums vanish only on balanced strings.
+
+    Base b sits in word b // k with weight M^(b % k), M = length + 1, and
+    its inverse letter carries the negated weight.  Every per-base exponent
+    sum lies in [-length, length], so the packed sum of a word is 0 only
+    when all of its k per-base sums are; k is the largest count with
+    M^k <= 2^62, so no partial sum can overflow int64.
+    """
+    M = length + 1
+    k = 1
+    while M ** (k + 1) <= 2**62:
+        k += 1
+    b = np.arange(s)
+    weight = np.zeros((s, -(-s // k)), dtype=np.int64)
+    weight[b, b // k] = M ** (b % k)
+    return np.kron(weight, [[1], [-1]])
+
+
+def _balanced(codes, weight):
+    """Which columns of a code array have every exponent sum zero."""
+    return (weight[codes].sum(axis=0) == 0).all(axis=-1)
 
 
 def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
@@ -103,38 +129,32 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
     sig = config.signature
     bases = list(sig.bases())
     s = len(bases)
-    factor_of = np.array([f for f, _ in bases])
-    code_of = np.array([g + 1 for _, g in bases])
+    weight = _parity_weights(s, config.length)
+    factor_of = np.repeat([f for f, _ in bases], 2)
+    signed_of = np.array([e * (g + 1) for _, g in bases for e in (1, -1)])
     model_tag = 0 if config.model is StringModel.VALID else 1
     rejections = {t: 0 for t in config.tests}
     bad_total = 0
 
     done = 0
     chunk_index = 0
-    rows = np.arange(CHUNK)
     while done < config.samples:
         count = min(CHUNK, config.samples - done)
         gen = rng.philox(config.seed, config.length, model_tag, chunk_index)
-        idx, exps = _draw_chunk(gen, count, config.length, s, config.model)
+        codes = _draw_chunk(gen, count, config.length, s, config.model)
         alive = np.ones(count, dtype=bool)
         for test in config.tests:
             if test is TestKind.PARITY:
-                sums = np.zeros((count, s), dtype=np.int64)
-                r = rows[:count]
-                for k in range(config.length):
-                    sums[r, idx[:, k]] += exps[:, k]
-                ok = (sums == 0).all(axis=1)
+                ok = _balanced(codes, weight)
             else:
                 # a rotation of the string is a conjugate of it, so the
                 # string itself decides the identity for all its rotations
                 live = np.flatnonzero(alive)
-                letters = idx[live]
-                factors = factor_of[letters].tolist()
-                signed = (exps[live] * code_of[letters]).tolist()
+                rows = codes[:, live].T
                 ok = alive.copy()
                 ok[live] = [
                     not any(reduce_stacks(zip(f, g), sig.num_factors))
-                    for f, g in zip(factors, signed)
+                    for f, g in zip(factor_of[rows].tolist(), signed_of[rows].tolist())
                 ]
             rejections[test] += int((alive & ~ok).sum())
             alive &= ok

@@ -1,6 +1,7 @@
 """Radius bounds: minimization side, discriminant side, closed forms."""
 
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -167,6 +168,31 @@ class TestGSolvers:
             assert g == pytest.approx(fixed_point_G(z, problem), rel=1e-8)
             # the solved value satisfies the equality it came from
             assert g == pytest.approx(eval_Q(z, g, problem), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(2.0)),
+            RadiusProblem(s=2, a=0.25, d_bound=DBound.zero()),
+            RadiusProblem(s=3, a=1 / 6, d_bound=DBound.geometric_rate(0.5)),
+        ],
+        ids=["R=2", "D=0", "c=0.5,s=3"],
+    )
+    @pytest.mark.parametrize("fraction", [0.5, 0.99, 0.999])
+    def test_fixed_point_error_is_bounded(self, problem, fraction):
+        # toward r_lower the map contracts ever more slowly, so a small step
+        # no longer means a small error: the iterate must sit within 1e-11
+        # of the quadratic's G-branch root, or the solver must refuse
+        z = fraction * radius_from_discriminant(problem)
+        A, B, C = map(Decimal, quadratic_coeffs(z, problem.d_bound.value(z), problem.s, problem.a))
+        root = (B * B - 4 * A * C).sqrt()
+        g_root = min(r for r in ((-B + root) / (2 * A), (-B - root) / (2 * A)) if r >= 1)
+        try:
+            g = fixed_point_G(z, problem)
+        except ConvergenceError:
+            assert fraction > 0.5
+            return
+        assert abs(g - float(g_root)) <= 1e-11
 
     def test_degenerate_leading_coefficient(self):
         # at s=2, a=1/4, z=1 the quadratic collapses to a linear equation

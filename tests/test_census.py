@@ -34,11 +34,11 @@ from leinert import (
 from leinert.census import (
     InsufficientDataError,
     composition_sum_enumerated,
-    conjugation_extensions,
     iter_valid_strings,
     walk_distance_distribution,
     write_census_csv,
 )
+from reference_census import conjugation_extensions
 from reference_kernel import is_kernel as reference_is_kernel
 
 F2F2 = parse_signature("F2xF2")

@@ -162,6 +162,25 @@ class TestSample:
         assert rows[0] == "length,samples,bad,freq,wilson_lo,wilson_hi"
         assert len(rows) == 5
 
+    @pytest.mark.parametrize(
+        "group, max_length, seed, sha256",
+        [
+            ("F2xF2", "12", "0", "dfe03f69b3d4b16552958dc8eecd80f026099c0f5636a27544ac8c78c8125977"),
+            ("F2xF2xF2", "10", "3", "6246a17830ba3afc32568fc1860b23f1f6f756fae6e09c7ccca5334debc045ed"),
+        ],
+    )
+    def test_pinned_draws(self, group, max_length, seed, sha256, tmp_path):
+        # the seeded streams and the cascade are frozen: any change to how a
+        # chunk is drawn or filtered changes these digests
+        out = tmp_path / "s"
+        assert run(
+            [
+                "sample", "--group", group, "--max-length", max_length,
+                "--samples", "20000", "--seed", seed, "--out", str(out),
+            ]
+        ) == 0
+        assert digest(out / "sample.csv") == sha256
+
     def test_generates_seed_when_missing(self, tmp_path, capsys):
         out = tmp_path / "s"
         assert run(

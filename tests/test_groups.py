@@ -10,9 +10,7 @@ from leinert import (
     GroupSignature,
     Letter,
     MalformedWordError,
-    StringKind,
     Word,
-    classify_string,
     is_bad,
     is_kernel,
     is_reduced_string,
@@ -23,6 +21,7 @@ from leinert import (
     word_from_text,
     word_to_text,
 )
+from reference_groups import StringKind, classify_string
 from reference_kernel import is_kernel as reference_is_kernel
 from reference_kernel import substrings
 from reference_parity import exponent_sums

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -22,6 +23,8 @@ from leinert import (
 )
 from leinert import rng, sampler
 from reference_parity import exponent_sums
+from reference_sampler import _draw_chunk as per_column_draw
+from reference_sampler import scatter_parity
 
 F2F2 = parse_signature("F2xF2")
 KERNEL8 = "f1g1' f1g2 f2g1' f2g2 f1g2' f1g1 f2g2' f2g1"
@@ -29,6 +32,12 @@ KERNEL8 = "f1g1' f1g2 f2g1' f2g2 f1g2' f1g1 f2g2' f2g1"
 
 def w(text):
     return word_from_text(F2F2, text)
+
+
+def decode(codes):
+    # (length, count) letter codes -> (count, length) base and exponent arrays
+    rows = codes.T
+    return rows >> 1, np.where(rows & 1, -1, 1)
 
 
 def balanced(word):
@@ -72,7 +81,7 @@ class TestPredicates:
         bases = list(sig.bases())
         tag = 0 if model is StringModel.VALID else 1
         gen = rng.philox(5, length, tag, 0)  # the stream of chunk 0
-        idx, exps = sampler._draw_chunk(gen, 3000, length, len(bases), model)
+        idx, exps = decode(sampler._draw_chunk(gen, 3000, length, len(bases), model))
         expected = sum(
             is_bad(Word(sig, tuple(Letter(*bases[b], int(e)) for b, e in zip(i, x))))
             for i, x in zip(idx, exps)
@@ -90,12 +99,46 @@ class TestSampling:
         bases = list(F2F2.bases())
         checks = {StringModel.VALID: is_valid_string, StringModel.REDUCED: is_reduced_string}
         for model, is_member in checks.items():
-            idx, exps = sampler._draw_chunk(rng.philox(1, 2), 500, 8, len(bases), model)
+            codes = sampler._draw_chunk(rng.philox(1, 2), 500, 8, len(bases), model)
+            idx, exps = decode(codes)
             for row_idx, row_exps in zip(idx, exps):
                 letters = tuple(
                     Letter(*bases[b], int(e)) for b, e in zip(row_idx, row_exps)
                 )
                 assert is_member(Word(F2F2, letters))
+
+    @pytest.mark.parametrize("model", list(StringModel))
+    @pytest.mark.parametrize("group", ["F2xF2", "F1xF1xF2", "F3xF1xF2"])
+    def test_draw_matches_per_column_oracle(self, group, model):
+        # one array draw spends the stream as the per-column calls did, for a
+        # full chunk and a partial last one
+        s = parse_signature(group).total_generators
+        for length in range(2, 13):
+            for count in (sampler.CHUNK, 1001):
+                key = (4, length, 1, 2)
+                codes = sampler._draw_chunk(rng.philox(*key), count, length, s, model)
+                idx, exps = per_column_draw(rng.philox(*key), count, length, s, model)
+                got_idx, got_exps = decode(codes)
+                assert (got_idx == idx).all() and (got_exps == exps).all()
+
+    @pytest.mark.parametrize(
+        "group, length, words",
+        [("F2xF2", 12, 1), ("F1xF1xF2", 10, 1), ("F12xF12xF12xF12", 20, 4)],
+    )
+    def test_packed_parity_matches_scatter(self, group, length, words):
+        s = parse_signature(group).total_generators
+        weight = sampler._parity_weights(s, length)
+        assert weight.shape == (2 * s, words)
+        gen = rng.philox(8, length)
+        half = gen.integers(0, 2 * s, size=(length // 2, 2000))
+        mirrored = np.concatenate([half, half[::-1] ^ 1])  # w w^-1
+        shuffled = gen.permuted(mirrored, axis=0)  # the same letters, reordered
+        drawn = gen.integers(0, 2 * s, size=(length, 2000))
+        power = np.repeat(np.arange(2 * s)[None], length, axis=0)  # x^length
+        codes = np.concatenate([mirrored, shuffled, drawn, power], axis=1)
+        expected = scatter_parity(*decode(codes), s)
+        assert expected[:4000].all() and not expected[-2 * s:].any()
+        assert (sampler._balanced(codes, weight) == expected).all()
 
     def test_deterministic_given_seed(self):
         config = SampleConfig(F2F2, 8, 2000, seed=5)
