@@ -24,8 +24,9 @@ from leinert import (
 # identity operands first: T = 2a * I exactly, a do-nothing control; every
 # vector is an eigenvector, so Lanczos breaks down after one step
 eye = (np.eye(16, dtype=complex),)
-norm, iters, _ = two_norm(TensorOperands(0.5, eye, eye), tol=1e-12)
-print(f"identity control: norm = {norm:.12f} (exactly 2a = 1), {iters} Lanczos step(s)")
+control = two_norm(TensorOperands(0.5, eye, eye), tol=1e-12)
+print(f"identity control: norm = {control.norm:.12f} (exactly 2a = 1),"
+      f" {control.steps} Lanczos step(s)")
 
 # the experiment: growing N at s = 2, four independent trials each
 print("\ns = 2, free limit", f"{free_limit(2):.6f}")

@@ -29,7 +29,6 @@ from .bounds import (
     eval_P,
     eval_P_prime,
     eval_Q,
-    fixed_point_G,
     free_radius,
     quadratic_coeffs,
     r_squared_closed_form,

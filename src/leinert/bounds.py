@@ -5,9 +5,15 @@ Everything here is double precision; the exact-arithmetic side lives in
 census and series.  P(t) packages the per-generator square-root terms whose
 fixed point bounds the return generating function from below; Q adds an
 interaction-decay correction parameterized by a DBound and bounds it from
-above.  Setting the quadratic form of the Q-equality to have a double root
-(discriminant zero) marks the radius where the upper solution ceases to
-exist, which is the computable stand-in for the radius of convergence.
+above.  Both radii come from closed forms (Woess, *Random Walks on Infinite
+Graphs and Groups*, section 9):
+
+- the upper radius minimizes P(t)/t, found as the zero of t P'(t) - P(t) by
+  Newton inside a doubling bracket;
+- the lower radius is where the G-quadratic of the Q-equality has a double
+  root.  Its discriminant factors as 4s^2 [((2s-1)D - 1)^2 - 4a^2(2s-1)z^2],
+  so the roots come from two cubics, one per factor, and G itself is the
+  quadratic's root with G(0) = 1, kept only if it solves Q(z, G) = G.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -129,7 +136,6 @@ def eval_P_second(t: float, weights: Sequence[float]) -> float:
     return 0.5 * acc
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Newton on the stationarity t P'(t) = P(t) stops once |t P' - P| <= this * P
 STATIONARITY_TOL = 1e-12
 
@@ -137,56 +143,43 @@ STATIONARITY_TOL = 1e-12
 def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
     """Radius candidate r = theta / P(theta) minimizing P(t)/t, with theta.
 
-    With n >= 3 letters the minimum is interior and Newton polish on the
-    stationarity t P'(t) = P(t) follows a golden-section bracket; it raises
-    ConvergenceError unless |t P' - P| <= STATIONARITY_TOL * P within 60
-    steps.  With n <= 2 the infimum sits at t -> infinity and equals the
-    total weight, so the pair (1 / sum(weights), inf) is returned.
+    The minimum is where g(t) = t P'(t) - P(t) crosses zero; g rises from
+    g(0) = -1 with g' = t P'' > 0.  With n >= 3 letters g tends to n/2 - 1 > 0,
+    so doubling t brackets the crossing and Newton, kept inside the bracket
+    by bisection, finds it; it raises ConvergenceError unless
+    |t P' - P| <= STATIONARITY_TOL * P within 60 steps.  With n <= 2 the
+    infimum sits at t -> infinity and equals the total weight, so the pair
+    (1 / sum(weights), inf) is returned.
     """
     weights = [float(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    n = len(weights)
     total = sum(weights)
-    if n <= 2:
+    if len(weights) <= 2:
         return 1.0 / total, math.inf
 
-    objective = lambda t: eval_P(t, weights) / t
-
-    # bracket the minimum: expand until the objective turns upward
-    lo, mid = 1e-9, 1.0 / total
-    while objective(mid * 2.0) < objective(mid):
-        mid *= 2.0
-        if mid > 1e12:
+    lo, hi = 0.0, 1.0 / total
+    while hi * eval_P_prime(hi, weights) < eval_P(hi, weights):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e12:
             raise ConvergenceError("no interior minimum found")
-    hi = mid * 4.0
 
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    for _ in range(200):
-        if objective(c) < objective(d):
-            b = d
-        else:
-            a = c
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        if b - a < 1e-10 * max(1.0, b):
-            break
-    theta = 0.5 * (a + b)
-
-    # Newton on g(t) = t P'(t) - P(t); g' = t P'' > 0
+    theta = hi
     for _ in range(60):
         p = eval_P(theta, weights)
         g = theta * eval_P_prime(theta, weights) - p
         if abs(g) <= STATIONARITY_TOL * p:
-            break
+            return theta / p, theta
+        if g < 0:
+            lo = theta
+        else:
+            hi = theta
         theta -= g / (theta * eval_P_second(theta, weights))
-    else:
-        raise ConvergenceError(
-            f"Newton left |t P' - P| = {abs(g):.3g} at t = {theta:.17g} after 60 steps"
-        )
-    return theta / eval_P(theta, weights), theta
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"Newton left |t P' - P| = {abs(g):.3g} at t = {theta:.17g} after 60 steps"
+    )
 
 
 def eval_Q(t: float, g: float, problem: RadiusProblem) -> float:
@@ -211,68 +204,34 @@ def quadratic_coeffs(z: float, D: float, s: int, a: float) -> tuple[float, float
     return A, B, C
 
 
-def fixed_point_G(z: float, problem: RadiusProblem, tol: float = 1e-12,
-                  max_iters: int = 10000) -> float:
-    """Iterate g <- Q(z, g) from g = 1; converges below the upper radius.
-
-    A map contracting by rho leaves the iterate within rho / (1 - rho) times
-    its last step of the fixed point, and rho -> 1 toward the radius, so the
-    stop bounds that error with rho = |step_k / step_(k-1)| instead of
-    trusting the step alone.  A ratio of 1 or more (past the radius, or
-    steps lost in rounding) raises rather than returning an unbounded iterate.
-    """
-    g, step = 1.0, None
-    for _ in range(max_iters):
-        nxt = eval_Q(z, g, problem)
-        if not math.isfinite(nxt):
-            raise ConvergenceError("fixed point diverged")
-        new_step, g = abs(nxt - g), nxt
-        if new_step == 0.0:
-            return g
-        if step is not None:
-            rho = new_step / step
-            if rho >= 1.0:
-                raise ConvergenceError(
-                    f"fixed point stopped contracting at z = {z} (step ratio {rho:.3g})"
-                )
-            if rho / (1.0 - rho) * new_step <= tol * max(1.0, abs(g)):
-                return g
-        step = new_step
-    raise ConvergenceError("fixed point did not settle")
+# solve_G_upper accepts its root once |Q(z, g) - g| <= this * max(1, |g|)
+RESIDUAL_TOL = 1e-12
 
 
-def solve_G_upper(z: float, problem: RadiusProblem, cross_check: bool = True) -> float:
+def solve_G_upper(z: float, problem: RadiusProblem) -> float:
     """Solve the Q-equality for G on the branch with G(0) = 1.
 
-    Solves the quadratic; when the leading coefficient degenerates the
-    linear solution -C/B is used.  The root nearest the fixed-point iterate
-    is returned, and by default the two are required to agree to 1e-8.
+    Of the quadratic's roots (-B ± sqrt(disc)) / (2A) this is the one written
+    as -2C / (B + sqrt(disc)), which is 1 at z = 0 and needs no special case
+    where A crosses 0: it is -C/B there if B > 0, and a pole (refused) if not.
+    Clearing the square root in Q = g to get the quadratic can add a root,
+    so g is returned only if it satisfies Q(z, g) = g itself.
     """
-    if z == 0:
-        return 1.0
     D = problem.d_bound.value(z)
     A, B, C = quadratic_coeffs(z, D, problem.s, problem.a)
-    if abs(A) < 1e-12:
-        candidates = [-C / B]
-    else:
-        disc = B * B - 4.0 * A * C
-        if disc < 0:
-            raise PastRadiusError(f"no real G at z={z}: discriminant {disc:.3g}")
-        root = math.sqrt(disc)
-        candidates = [(-B + root) / (2.0 * A), (-B - root) / (2.0 * A)]
-    try:
-        reference = fixed_point_G(z, problem)
-    except ConvergenceError:
-        if not cross_check:
-            # past the fixed point's reach; keep the branch closer to 1
-            return min(candidates, key=lambda g: abs(g - 1.0))
-        raise
-    best = min(candidates, key=lambda g: abs(g - reference))
-    if cross_check and abs(best - reference) > 1e-8 * max(1.0, abs(reference)):
+    disc = B * B - 4.0 * A * C
+    if disc < 0:
+        raise PastRadiusError(f"no real G at z={z}: discriminant {disc:.3g}")
+    denom = B + math.sqrt(disc)
+    if denom <= 0:
+        raise ConvergenceError(f"G-branch root is not finite and positive at z={z}")
+    g = -2.0 * C / denom
+    residual = abs(eval_Q(z, g, problem) - g)
+    if residual > RESIDUAL_TOL * max(1.0, abs(g)):
         raise ConvergenceError(
-            f"quadratic root {best} disagrees with fixed point {reference}"
+            f"quadratic root {g} leaves |Q(z, g) - g| = {residual:.3g} at z={z}"
         )
-    return best
+    return g
 
 
 def free_radius(s: int, a: float) -> float:
@@ -280,89 +239,42 @@ def free_radius(s: int, a: float) -> float:
     return 1.0 / (2.0 * a * math.sqrt(2.0 * s - 1.0))
 
 
-def _discriminant_at(z: float, problem: RadiusProblem) -> float:
-    D = problem.d_bound.value(z)
-    A, B, C = quadratic_coeffs(z, D, problem.s, problem.a)
-    return B * B - 4.0 * A * C
-
-
 def discriminant_roots(problem: RadiusProblem) -> list[float]:
     """All z in (0, R) where the G-quadratic's discriminant vanishes, sorted.
 
-    A nontrivial decay bound generically produces two such points: the
-    sign ambiguity in the decay value (see d_closed_form) gives a lower
-    crossing and an upper one, with no real G branch between them.  The
-    polynomial form of the vanishing condition is a cubic in w = z²; its
-    roots seed a Newton polish on the unexpanded discriminant, which also
-    discards the root the denominator-clearing introduced.
+    The discriminant factors as 4s^2 [((2s-1)D - 1)^2 - c^2 z^2] with
+    c = 2a sqrt(2s-1), so it vanishes where (2s-1)D = 1 + sign*cz for either
+    sign (see d_closed_form).  With D = z^2 / (R^2 - z^2), multiplying
+    through by R^2 - z^2 > 0 turns each sign into the cubic
+        sign*c z^3 + 2s z^2 - sign*c R^2 z - R^2 = 0
+    without adding a root in (0, R).  Each cubic has exactly one root there:
+    the minus sign gives the lower crossing, the plus sign the upper one,
+    and no real G branch exists between them.
     """
     s, a = problem.s, problem.a
     if problem.d_bound.kind is DKind.ZERO:
         return [free_radius(s, a)]
     R = problem.d_bound.radius
-    R2 = R * R
-    a2 = a * a
-    cubic = [
-        -32.0 * a2 * s**3 + 16.0 * a2 * s**2,
-        64.0 * a2 * R2 * s**3 - 32.0 * a2 * R2 * s**2 + 16.0 * s**4,
-        -32.0 * a2 * R2 * R2 * s**3 + 16.0 * a2 * R2 * R2 * s**2 - 16.0 * R2 * s**3,
-        4.0 * R2 * R2 * s**2,
-    ]
-    candidates = []
-    for w in np.roots(cubic):
-        if abs(w.imag) > 1e-9 * max(1.0, abs(w.real)):
-            continue
-        w = w.real
-        if w <= 0:
-            continue
-        z = math.sqrt(w)
-        if z < R * (1.0 - 1e-12):
-            candidates.append(z)
-    polished = []
-    for z in sorted(candidates):
-        z_new = _polish_discriminant_root(z, problem)
-        if z_new is not None:
-            polished.append(z_new)
-    return sorted(polished)
+    c = Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0))
+    R2 = Fraction(R) ** 2
+    roots = []
+    for sign in (-1, 1):
+        k3, k2, k1, k0 = sign * c, 2 * s, -sign * c * R2, -R2
+        for z in np.roots([float(k) for k in (k3, k2, k1, k0)]):
+            if abs(z.imag) <= 1e-9 * max(1.0, abs(z.real)) and 0 < z.real < R:
+                # one Newton step in exact arithmetic rounds the root correctly
+                z = Fraction(z.real)
+                f = ((k3 * z + k2) * z + k1) * z + k0
+                roots.append(float(z - f / ((3 * k3 * z + 2 * k2) * z + k1)))
+    return sorted(roots)
 
 
 def radius_from_discriminant(problem: RadiusProblem) -> float:
-    """Smallest positive z where the G-quadratic loses real solutions; the
-    point past which solve_G_upper first fails.
-
-    With the trivial decay bound this is the closed form free_radius;
-    infinity signals that no admissible root exists (the solution never
-    breaks down below the decay radius).
+    """Smallest positive z where the G-quadratic loses real solutions, past
+    which solve_G_upper has no real G: the lower discriminant root, which is
+    free_radius for the trivial decay bound.
     """
-    roots = discriminant_roots(problem)
-    if not roots:
-        return math.inf
-    return roots[0]
-
-
-def _polish_discriminant_root(z: float, problem: RadiusProblem) -> float | None:
-    """Newton on the unexpanded discriminant; None if the root is spurious."""
-    R = problem.d_bound.radius
-    for _ in range(60):
-        val = _discriminant_at(z, problem)
-        h = max(1e-9, 1e-7 * z)
-        slope = (_discriminant_at(min(z + h, R * (1 - 1e-13)), problem)
-                 - _discriminant_at(max(z - h, 0.0), problem)) / (2 * h)
-        if slope == 0:
-            break
-        step = val / slope
-        z_new = z - step
-        if not 0 < z_new < R:
-            z_new = min(max(z_new, z * 0.5), 0.5 * (z + R))
-        z = z_new
-        if abs(step) < 1e-13 * max(1.0, z):
-            break
-    D = problem.d_bound.value(z)
-    A, B, C = quadratic_coeffs(z, D, problem.s, problem.a)
-    scale = max(B * B, abs(4.0 * A * C), 1e-30)
-    if abs(B * B - 4.0 * A * C) / scale > 1e-8:
-        return None
-    return z
+    return discriminant_roots(problem)[0]
 
 
 def r_squared_closed_form(z: float, s: int, a: float, branch: int = -1) -> float:

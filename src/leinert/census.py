@@ -446,6 +446,16 @@ class GrowthEstimate:
     residual: float
     per_length_roots: tuple[float, ...]
 
+    @classmethod
+    def fit(cls, lengths: Sequence[int], freqs: Sequence[float]) -> "GrowthEstimate":
+        """Drop zero frequencies, fit the rest against n = length/2, and take
+        each frequency^(2/length)."""
+        kept = [(l, f) for l, f in zip(lengths, freqs) if f > 0]
+        lengths, freqs = tuple(l for l, _ in kept), tuple(f for _, f in kept)
+        rate, residual = fit_exponential_rate([l / 2 for l in lengths], freqs)
+        roots = tuple(f ** (2.0 / l) for l, f in kept)
+        return cls(lengths, freqs, rate, residual, roots)
+
 
 def fit_exponential_rate(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     """Fit y = C * rate^x by least squares on log y.
@@ -469,8 +479,5 @@ def fit_exponential_rate(xs: Sequence[float], ys: Sequence[float]) -> tuple[floa
 
 def growth_rate(census: BadStringCensus) -> GrowthEstimate:
     """Decay rate of the census frequencies against n = length/2."""
-    lengths = [l for l in census.lengths() if census.entries[l].bad > 0]
-    freqs = [float(census.entries[l].frequency) for l in lengths]
-    rate, residual = fit_exponential_rate([l / 2 for l in lengths], freqs)
-    roots = tuple(f ** (2.0 / l) for l, f in zip(lengths, freqs))
-    return GrowthEstimate(tuple(lengths), tuple(freqs), rate, residual, roots)
+    lengths = census.lengths()
+    return GrowthEstimate.fit(lengths, [float(census.entries[l].frequency) for l in lengths])

@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -70,15 +69,15 @@ def _parse_d_bound(text: str) -> DBound:
 
 
 def _parse_range(text: str) -> range:
-    """Inclusive lo:hi with lo <= hi, or a single integer."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        values = range(int(lo), int(hi) + 1)
-        if not values:
-            raise argparse.ArgumentTypeError(f"empty range {text!r}: need lo <= hi")
-        return values
-    v = int(text)
-    return range(v, v + 1)
+    """Inclusive lo:hi with 1 <= lo <= hi, or a single positive integer:
+    a range of generator counts s."""
+    lo, sep, hi = text.partition(":")
+    values = range(int(lo), int(hi if sep else lo) + 1)
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: need lo <= hi")
+    if values.start < 1:
+        raise argparse.ArgumentTypeError(f"range {text!r} starts below s = 1")
+    return values
 
 
 def _max_length(text: str) -> int:
@@ -245,9 +244,6 @@ def _cmd_verify_series(args, manifest: _Manifest) -> int:
 def _cmd_radius(args, manifest: _Manifest) -> int:
     problem = _config(RadiusProblem, s=args.s, a=args.a, d_bound=args.d_bound)
     z = radius_from_discriminant(problem)
-    if math.isinf(z):
-        print("no breakdown point below the decay radius (diverges nowhere)")
-        return EXIT_OK
     print(f"s={args.s} a={args.a} d-bound={args.d_bound.kind.value}")
     print(f"z = {z:.10g}   (z^-1 = {1.0 / z:.10g})")
     roots = discriminant_roots(problem)
@@ -316,9 +312,8 @@ def _cmd_figure(args, manifest: _Manifest) -> int:
         z_free = free_radius(s, 1.0)
         problem = RadiusProblem(s=s, a=1.0, d_bound=args.d_bound)
         z_disc = radius_from_discriminant(problem)
-        z_disc_inv = 0.0 if math.isinf(z_disc) else 1.0 / z_disc
         lines.append(
-            f"{s} {1.0 / z_free:.12g} {z_free:.12g} {z_disc_inv:.12g}"
+            f"{s} {1.0 / z_free:.12g} {z_free:.12g} {1.0 / z_disc:.12g}"
         )
     manifest.add("figure_bounds.dat", "\n".join(lines) + "\n")
 

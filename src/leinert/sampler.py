@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .census import GrowthEstimate, fit_exponential_rate
+from .census import GrowthEstimate
 from .groups import GroupSignature, reduce_stacks
 
 CHUNK = 16384
@@ -208,17 +208,6 @@ def estimate_decay_rate(
     lengths = list(lengths)
     freqs = []
     for length in lengths:
-        report = estimate_bad_frequency(
-            SampleConfig(signature, length, samples_per_length, seed, model, tests)
-        )
-        freqs.append(float(report.frequency))
-    rate, residual = fit_exponential_rate([l / 2 for l in lengths], freqs)
-    kept = [(l, f) for l, f in zip(lengths, freqs) if f > 0]
-    roots = tuple(f ** (2.0 / l) for l, f in kept)
-    return GrowthEstimate(
-        tuple(l for l, _ in kept),
-        tuple(f for _, f in kept),
-        rate,
-        residual,
-        roots,
-    )
+        config = SampleConfig(signature, length, samples_per_length, seed, model, tests)
+        freqs.append(float(estimate_bad_frequency(config).frequency))
+    return GrowthEstimate.fit(lengths, freqs)

@@ -107,17 +107,13 @@ class TrialNorm:
 
     `residual` is relative: some singular value of T lies within
     residual * norm of norm (0 for the exact s = 1 path and on Lanczos
-    breakdown).  `steps` counts products with T*T.  Unpacks as
-    (norm, steps, converged).
+    breakdown).  `steps` counts products with T*T.
     """
 
     norm: float
     steps: int
     converged: bool
     residual: float
-
-    def __iter__(self):
-        return iter((self.norm, self.steps, self.converged))
 
 
 def _lanczos(op, q: np.ndarray, steps: int):

@@ -19,7 +19,6 @@ from leinert import (
     eval_P,
     eval_P_prime,
     eval_Q,
-    fixed_point_G,
     free_radius,
     quadratic_coeffs,
     r_squared_closed_form,
@@ -29,7 +28,11 @@ from leinert import (
 )
 from leinert import bounds
 from leinert.bounds import eval_P_second
-from reference_radius import radius_from_vertical_tangent
+from reference_radius import (
+    fixed_point_G,
+    radius_from_vertical_tangent,
+    w_cubic_discriminant_roots,
+)
 
 
 def uniform(n, a):
@@ -194,6 +197,91 @@ class TestGSolvers:
             return
         assert abs(g - float(g_root)) <= 1e-11
 
+    def test_root_at_the_fixed_point_refusal(self):
+        # at 0.999 r_lower the fixed point cannot certify 1e-12, but the
+        # quadratic's G-branch root solves Q(z, g) = g there
+        problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(2.0))
+        z = 0.999 * radius_from_discriminant(problem)
+        with pytest.raises(ConvergenceError):
+            fixed_point_G(z, problem)
+        g = solve_G_upper(z, problem)
+        assert g == 10.729147792735962
+        assert abs(eval_Q(z, g, problem) - g) <= 1e-12 * g
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "d_bound",
+        [DBound.zero(), DBound.radius_form(0.3), DBound.radius_form(2.0), DBound.geometric_rate(0.5)],
+        ids=["D=0", "R=0.3", "R=2", "c=0.5"],
+    )
+    def test_matches_fixed_point_oracle(self, s, d_bound):
+        # wherever the iteration g <- Q(z, g) certifies its own error, the
+        # closed-form root agrees with it
+        compared = 0
+        for a in (0.1, 0.25, 1.0):
+            problem = RadiusProblem(s=s, a=a, d_bound=d_bound)
+            r_lower = radius_from_discriminant(problem)
+            for fraction in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
+                z = fraction * r_lower
+                try:
+                    reference = fixed_point_G(z, problem)
+                except ConvergenceError:
+                    continue
+                assert solve_G_upper(z, problem) == pytest.approx(reference, rel=1e-8)
+                compared += 1
+        assert compared >= 12
+
+    def test_refuses_exactly_where_the_root_fails(self):
+        # on a grid up to the decay radius every answer is one of: a root
+        # that solves Q(z, g) = g, PastRadiusError where the discriminant is
+        # negative, or ConvergenceError where the branch root is not finite
+        # and positive or leaves a residual
+        outcomes = set()
+        for s, a, d_bound in [
+            (1, 0.1, DBound.radius_form(0.3)),
+            (2, 0.25, DBound.radius_form(2.0)),
+            (3, 1.0, DBound.geometric_rate(0.5)),
+            (2, 0.25, DBound.zero()),
+        ]:
+            problem = RadiusProblem(s=s, a=a, d_bound=d_bound)
+            top = min(d_bound.radius, 3 * discriminant_roots(problem)[-1])
+            for k in range(1, 100):
+                z = top * k / 100
+                A, B, C = quadratic_coeffs(z, d_bound.value(z), s, a)
+                disc = B * B - 4 * A * C
+                if disc < 0:
+                    with pytest.raises(PastRadiusError):
+                        solve_G_upper(z, problem)
+                    outcomes.add("past")
+                    continue
+                denom = B + math.sqrt(disc)
+                g = -2 * C / denom if denom > 0 else None
+                if g is None or abs(eval_Q(z, g, problem) - g) > 1e-12 * max(1, g):
+                    with pytest.raises(ConvergenceError):
+                        solve_G_upper(z, problem)
+                    outcomes.add("refused")
+                else:
+                    assert solve_G_upper(z, problem) == g
+                    outcomes.add("root")
+        assert outcomes == {"past", "refused", "root"}
+
+    def test_residual_check_refuses_a_root_q_does_not_fix(self, monkeypatch):
+        # a Q that misses the quadratic's root by 1e-9 relative must refuse
+        problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(2.0))
+        true_q = bounds.eval_Q
+        monkeypatch.setattr(bounds, "eval_Q", lambda z, g, p: true_q(z, g, p) * (1 + 1e-9))
+        with pytest.raises(ConvergenceError, match="leaves"):
+            solve_G_upper(0.5, problem)
+
+    def test_denominator_at_infinite_g_refuses(self):
+        # at s = 1 the branch root -2C / (B + sqrt(disc)) grows without bound
+        # where A reaches 0, before the discriminant vanishes
+        problem = RadiusProblem(s=1, a=0.1, d_bound=DBound.radius_form(0.3))
+        z = 0.174
+        assert z < radius_from_discriminant(problem)
+        with pytest.raises(ConvergenceError, match="not finite and positive"):
+            solve_G_upper(z, problem)
+
     def test_degenerate_leading_coefficient(self):
         # at s=2, a=1/4, z=1 the quadratic collapses to a linear equation
         problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.zero())
@@ -209,7 +297,7 @@ class TestGSolvers:
     def test_no_real_g_past_breakdown(self):
         problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(2.0))
         z_break = radius_from_discriminant(problem)
-        with pytest.raises((PastRadiusError, ConvergenceError)):
+        with pytest.raises(PastRadiusError):
             solve_G_upper(z_break * 1.05, problem)
 
 
@@ -237,11 +325,38 @@ class TestDiscriminant:
         assert roots[1] == pytest.approx(1.2858024790, rel=1e-8)
 
     def test_roots_are_discriminant_zeros(self):
-        from leinert.bounds import _discriminant_at
-
         problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(5.0))
         for z in discriminant_roots(problem):
-            assert abs(_discriminant_at(z, problem)) < 1e-7
+            A, B, C = quadratic_coeffs(z, problem.d_bound.value(z), 2, 0.25)
+            assert abs(B * B - 4 * A * C) < 1e-7
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_matches_w_cubic_oracle(self, s):
+        # the two factor cubics against the unfactored cubic in w = z^2
+        for a in (0.05, 0.25, 1 / (2 * s), 1.0):
+            for d_bound in (
+                DBound.zero(),
+                DBound.radius_form(0.5),
+                DBound.radius_form(2.0),
+                DBound.radius_form(10.0),
+                DBound.geometric_rate(0.2),
+                DBound.geometric_rate(3.0),
+            ):
+                problem = RadiusProblem(s=s, a=a, d_bound=d_bound)
+                roots = discriminant_roots(problem)
+                reference = w_cubic_discriminant_roots(problem)
+                assert len(roots) == len(reference)
+                assert roots == pytest.approx(reference, rel=1e-13)
+
+    def test_lower_root_where_the_w_cubic_loses_it(self):
+        # at s = 1 with a wide decay radius the w-cubic's polish drops the
+        # lower crossing; its factor cubic still has it
+        problem = RadiusProblem(s=1, a=0.5, d_bound=DBound.radius_form(100.0))
+        assert len(w_cubic_discriminant_roots(problem)) == 1
+        lower, upper = discriminant_roots(problem)
+        # (2s - 1) D = 1 - cz with c = 2a sqrt(2s - 1) = 1
+        assert problem.d_bound.value(lower) == pytest.approx(1 - lower, rel=1e-12)
+        assert upper == pytest.approx(99.50620005962159, rel=1e-13)
 
     def test_monotone_in_decay_radius(self):
         radii = [

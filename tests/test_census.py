@@ -32,6 +32,7 @@ from leinert import (
     word_from_text,
 )
 from leinert.census import (
+    GrowthEstimate,
     InsufficientDataError,
     composition_sum_enumerated,
     iter_valid_strings,
@@ -265,6 +266,14 @@ class TestDecayFit:
     def test_needs_three_positive_points(self):
         with pytest.raises(InsufficientDataError):
             fit_exponential_rate([1, 2, 3], [0.0, 0.0, 0.5])
+
+    def test_growth_estimate_fit_drops_zero_frequencies(self):
+        freqs = [0.0, 0.0, 1e-2, 2e-3, 5e-4]
+        rate, residual = fit_exponential_rate([3, 4, 5], freqs[2:])
+        roots = tuple(f ** (2.0 / l) for l, f in zip((6, 8, 10), freqs[2:]))
+        assert GrowthEstimate.fit([2, 4, 6, 8, 10], freqs) == GrowthEstimate(
+            (6, 8, 10), tuple(freqs[2:]), rate, residual, roots
+        )
 
     def test_growth_rate_on_census(self):
         census = take_census(F2F2, range(2, 13, 2))

@@ -72,6 +72,26 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["bounds", "--s", "2", "--a", "0.25"], "0:3"),
+            (["figure", "--seed", "1"], "0:2"),
+        ],
+        ids=["bounds", "figure"],
+    )
+    def test_s_range_below_one_is_usage_error(self, argv, text, tmp_path, capsys):
+        # s = 0 used to reach a = 1/(2s) in bounds and sqrt(2s - 1) in figure
+        out = tmp_path / "s0"
+        assert run(argv + ["--s-range", text, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1].endswith(
+            f"argument --s-range: range '{text}' starts below s = 1"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["census", "--group", "F2xF2"],

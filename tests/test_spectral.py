@@ -109,9 +109,9 @@ class TestTwoNorm:
         # U = V = I makes T = 2a * identity, norm exactly 2a
         eye = (np.eye(8, dtype=complex),)
         operands = TensorOperands(0.5, eye, eye)
-        norm, _, converged = two_norm(operands, tol=1e-12)
-        assert converged
-        assert norm == pytest.approx(1.0, rel=1e-12)
+        result = two_norm(operands, tol=1e-12)
+        assert result.converged
+        assert result.norm == pytest.approx(1.0, rel=1e-12)
 
     def test_against_dense_svd(self):
         N, s = 5, 2
@@ -122,17 +122,16 @@ class TestTwoNorm:
         eye = np.eye(N)
         dense = sum(np.kron(u, eye) + np.kron(eye, v) for u, v in zip(left, right))
         exact = float(np.linalg.svd(dense, compute_uv=False)[0])
-        norm, _, converged = two_norm(operands, tol=1e-10, gen=rng.philox(7, 9))
-        assert converged
-        assert norm == pytest.approx(exact, rel=1e-5)
+        result = two_norm(operands, tol=1e-10, gen=rng.philox(7, 9))
+        assert result.converged
+        assert result.norm == pytest.approx(exact, rel=1e-5)
 
     def test_norm_below_triangle_ceiling(self):
         gen = rng.philox(4, 4)
         operands = TensorOperands(
             1.0, haar_tuple(2, 20, gen), haar_tuple(2, 20, gen)
         )
-        norm, _, _ = two_norm(operands, gen=rng.philox(4, 5))
-        assert norm <= 4.0 * (1 + 1e-9)
+        assert two_norm(operands, gen=rng.philox(4, 5)).norm <= 4.0 * (1 + 1e-9)
 
 
 class TestLanczos:
@@ -178,7 +177,7 @@ class TestLanczos:
         gen = rng.philox(1, 3)
         u, v = haar_unitary(5, gen), haar_unitary(5, gen)
         result = two_norm(TensorOperands(1.0, (u, -u), (v, -v)))
-        assert tuple(result) == (0.0, 1, True)
+        assert (result.norm, result.steps, result.converged) == (0.0, 1, True)
 
     def test_restarts_reach_the_dense_norm(self, monkeypatch):
         # cycles of 5 steps force several rebuilt restart vectors
