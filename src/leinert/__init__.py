@@ -46,7 +46,6 @@ from .census import (
     composition_sum_identity,
     compositions_count,
     count_bad_exact,
-    conjugation_extension_count,
     first_return_formula,
     fit_exponential_rate,
     growth_rate,
@@ -63,14 +62,11 @@ from .groups import (
     MalformedWordError,
     NormalForm,
     Word,
-    is_bad,
     is_kernel,
     is_reduced_string,
     is_simple_cycle,
-    is_valid_string,
     normal_form,
     parse_signature,
-    word_from_text,
     word_to_text,
 )
 from .sampler import (

@@ -277,6 +277,26 @@ def radius_from_discriminant(problem: RadiusProblem) -> float:
     return discriminant_roots(problem)[0]
 
 
+def g_pole(problem: RadiusProblem) -> float:
+    """Smallest z in (0, R) where the G branch of solve_G_upper has a pole,
+    or inf where it has none.
+
+    The branch -2C / (B + sqrt(disc)) blows up where A reaches 0 with B < 0.
+    With w = z^2 and D = w / (R^2 - w), A = 0 reads
+        4a^2 s^2 w^2 - (4a^2 s^2 R^2 + 2s + 1) w + R^2 = 0,
+    which is R^2 at w = 0 and -2s R^2 at w = R^2, so its smaller root is the
+    one in (0, R^2).  The trivial decay bound keeps B = 2s - 2 >= 0.
+    """
+    if problem.d_bound.kind is DKind.ZERO:
+        return math.inf
+    s, a, R2 = problem.s, problem.a, problem.d_bound.radius ** 2
+    k = 4.0 * a * a * s * s
+    b = k * R2 + 2.0 * s + 1.0
+    z = math.sqrt(2.0 * R2 / (b + math.sqrt(b * b - 4.0 * k * R2)))
+    _, B, _ = quadratic_coeffs(z, problem.d_bound.value(z), s, a)
+    return z if B < 0 else math.inf
+
+
 def r_squared_closed_form(z: float, s: int, a: float, branch: int = -1) -> float:
     """The decay radius squared that places a discriminant root at z.
 
@@ -315,10 +335,12 @@ def d_closed_form(z: float, s: int, a: float) -> tuple[float, float]:
 class BoundReport:
     """Two radius estimates and their gap for one uniform problem.
 
-    r_lower is the decay-corrected discriminant radius: accounting for bad
-    strings can only pull the estimate down from the trivially-decaying
-    ideal, so it sits at or below r_upper, the minimization radius that
-    ignores the decay term.  The two coincide for the trivial decay bound.
+    r_lower is where the decay-corrected G branch stops: the lower
+    discriminant root, or the branch's pole (g_pole) where that comes
+    first, as it can when B < 0.  Accounting for bad strings can only pull
+    the estimate down from the trivially-decaying ideal, so it sits at or
+    below r_upper, the minimization radius that ignores the decay term.
+    The two coincide for the trivial decay bound.
     """
 
     problem: RadiusProblem
@@ -339,7 +361,7 @@ class BoundReport:
 
 def bound_report(problem: RadiusProblem) -> BoundReport:
     r_upper, theta = woess_radius(problem.uniform_weights)
-    r_lower = radius_from_discriminant(problem)
+    r_lower = min(radius_from_discriminant(problem), g_pole(problem))
     return BoundReport(problem=problem, r_lower=r_lower, r_upper=r_upper, theta=theta)
 
 

@@ -15,7 +15,7 @@ exactly when P_0, ..., P_{L-1} are pairwise distinct, checked in one O(L)
 pass over the raw letters of each leaf.
 
 Alongside the enumeration sit the closed-form counts (the length-8 and
-length-12 formulas, conjugation extensions, composition identities) and an
+length-12 formulas, composition identities) and an
 independent walk-counting oracle on the free group F_s.  The oracle audits
 the geometric first-return and return-walk formulas, which are exact up to
 four steps and undercount from six steps on (they miss the Dyck-path
@@ -72,35 +72,6 @@ def valid_string_count(signature: GroupSignature, length: int) -> int:
 def _check_length(length: int):
     if length < 2 or length % 2:
         raise ValueError(f"valid strings have even length >= 2, got {length}")
-
-
-def iter_valid_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
-    """Every valid string of the given length, lexicographic in bases.
-
-    Plain product enumeration with no pruning; meant for small lengths and
-    as ground truth for the samplers and the census itself.
-    """
-    _check_length(length)
-    bases = list(signature.bases())
-
-    def walk(seq: list[tuple[int, int]]):
-        if len(seq) == length:
-            yield Word(
-                signature,
-                tuple(
-                    Letter(f, g, -1 if k % 2 == 0 else 1)
-                    for k, (f, g) in enumerate(seq)
-                ),
-            )
-            return
-        for base in bases:
-            if seq and base == seq[-1]:
-                continue
-            seq.append(base)
-            yield from walk(seq)
-            seq.pop()
-
-    yield from walk([])
 
 
 def _check_budget(signature: GroupSignature, length: int, budget: int) -> None:
@@ -266,17 +237,6 @@ def bad_count_length12_formula(b8: int, total_generators: int) -> int:
     return b8 * ((s - 2) * (s - 3) + 4 * (s - 1) + 2 * (s - 2) ** 2)
 
 
-def conjugation_extension_count(total_generators: int) -> int:
-    """Letters extending a minimal bad string by conjugation: s - 2.
-
-    Wrapping z^-1 ... z around the flipped string stays valid exactly when
-    the base of z avoids the two (distinct) end bases.
-    """
-    if total_generators < 2:
-        raise ValueError("need at least two generators")
-    return total_generators - 2
-
-
 # -- compositions and walk-count identities -----------------------------------
 
 def compositions_count(total: int) -> int:
@@ -317,17 +277,6 @@ def return_walks_formula(s: int, n: int) -> int:
     four steps; see walk_formula_comparison.
     """
     return 2 * s * (4 * s - 1) ** (n - 1)
-
-
-def composition_sum_enumerated(s: int, total: int) -> int:
-    """Left side of the composition chain, summed by brute enumeration."""
-    acc = 0
-    for parts in iter_compositions(total):
-        prod = 1
-        for l in parts:
-            prod *= first_return_formula(s, l)
-        acc += prod
-    return acc
 
 
 def composition_sum_identity(s: int, total: int) -> Fraction:

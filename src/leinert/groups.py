@@ -4,8 +4,8 @@ The ambient group is F_{s_1} x ... x F_{s_m}.  A *letter* is a generator of
 one factor raised to +1 or -1; a *string* is a tuple of letters kept verbatim,
 with no cancellation applied.  Evaluating a string means free-reducing it
 factor by factor; a string is *bad* when it is reduced as written yet
-evaluates to the identity.  Everything downstream (census, samplers, walk
-tables) goes through the classifiers in this module.
+evaluates to the identity.  The census and the sampler build valid strings
+by construction; this module evaluates them and tests their minimality.
 
 Strings come in two flavours:
 
@@ -169,31 +169,12 @@ def normal_form(word: Word) -> NormalForm:
     return NormalForm(word.signature, tuple(tuple(s) for s in stacks))
 
 
-def is_valid_string(word: Word) -> bool:
-    """Even length, exponents forced -1, +1, -1, ..., adjacent bases distinct."""
-    n = len(word.letters)
-    if n == 0 or n % 2:
-        return False
-    for k, ell in enumerate(word.letters):
-        if ell.exp != (-1 if k % 2 == 0 else 1):
-            return False
-    return all(a.base != b.base for a, b in zip(word.letters, word.letters[1:]))
-
-
 def is_reduced_string(word: Word) -> bool:
     """No adjacent pair forms an immediate cancellation x^e x^{-e}."""
     return all(
         a.base != b.base or a.exp == b.exp
         for a, b in zip(word.letters, word.letters[1:])
     )
-
-
-def is_bad(word: Word) -> bool:
-    """Nonempty, reduced as written, yet evaluating to the identity.
-
-    Valid strings are always reduced, so this covers both string models.
-    """
-    return bool(word.letters) and is_reduced_string(word) and normal_form(word).is_identity
 
 
 def is_simple_cycle(letters: Iterable[tuple[int, int, int]], num_factors: int) -> bool:
@@ -234,22 +215,6 @@ def is_kernel(word: Word) -> bool:
         ((ell.factor, ell.gen, ell.exp) for ell in word.letters),
         word.signature.num_factors,
     )
-
-
-# text form: f<i>g<j> is generator j of factor i (1-based), trailing ' inverts
-_LETTER_RE = re.compile(r"f(\d+)g(\d+)(')?")
-
-
-def word_from_text(signature: GroupSignature, text: str) -> Word:
-    """Parse a whitespace-separated string of letters like "f1g2' f2g1"."""
-    letters = []
-    for token in text.split():
-        m = _LETTER_RE.fullmatch(token)
-        if not m:
-            raise MalformedWordError(f"cannot parse letter {token!r}")
-        factor, gen = int(m.group(1)) - 1, int(m.group(2)) - 1
-        letters.append(Letter(factor, gen, -1 if m.group(3) else 1))
-    return Word(signature, tuple(letters))
 
 
 def word_to_text(word: Word) -> str:

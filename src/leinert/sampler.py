@@ -147,8 +147,7 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
             if test is TestKind.PARITY:
                 ok = _balanced(codes, weight)
             else:
-                # a rotation of the string is a conjugate of it, so the
-                # string itself decides the identity for all its rotations
+                # exact stage: a survivor is bad when its stacks end empty
                 live = np.flatnonzero(alive)
                 rows = codes[:, live].T
                 ok = alive.copy()

@@ -91,9 +91,12 @@ class ProbabilityTables:
         penultimate position is not that opening letter.  Only walks whose
         letters spell a bad string land here.
     avoiding_even_returns[(i,j)][m]: weight of plain-first m-step returns
-        never standing on the element x_{i,j} in between; even m.
-    avoiding_odd_returns[(i,j)][m]: the inverse-first odd-horizon analogue;
-        nonzero only with a lazy weight, since odd returns need lazy steps.
+        never standing on the element x_{i,j} in between, m <= 2*n_max - 2.
+        The recurrences read the even m; odd m need a lazy step, so those
+        entries are zero without a lazy weight (index 1 is alpha0).
+    avoiding_odd_returns[(i,j)][m]: the inverse-first analogue, m <= 2*n_max - 1
+        and index 0 an unused zero.  The recurrences read the odd m, which
+        are likewise zero without a lazy weight.
     layer_mass[m]: total mass across the group after m steps of the
         inverse-first walk; with alpha0 = 0 it equals (sum alpha)^m.
     """
@@ -108,11 +111,6 @@ class ProbabilityTables:
     avoiding_even_returns: dict[tuple[int, int], tuple[Fraction, ...]]
     avoiding_odd_returns: dict[tuple[int, int], tuple[Fraction, ...]]
     layer_mass: tuple[Fraction, ...]
-
-    def total_excursion_returns(self, m: int) -> Fraction:
-        return sum(
-            (table[m] for table in self.excursion_returns.values()), Fraction(0)
-        )
 
 
 def _factor_rates(signature: GroupSignature, weights: WalkWeights) -> list[Fraction]:
@@ -257,79 +255,6 @@ def dp_tables(
     )
 
 
-def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
-    """Max absolute residual of each first-return decomposition, exactly.
-
-    Keys: even_return and lagged_return (the two unconditioned walks),
-    avoiding_even and avoiding_odd (the masked walks), excursion_split
-    (first returns = closing-step term + detours).  Sums involving a
-    zero-step first return treat it as zero, a first return at time zero
-    not being a return.
-    """
-    w = tables.weights
-    n_max = tables.n_max
-    mu = tables.even_returns
-    p = tables.lagged_returns
-    f_tot = [tables.total_excursion_returns(m) for m in range(2 * n_max + 1)]
-
-    residuals: dict[str, Fraction] = {}
-
-    worst = Fraction(0)
-    for n in range(1, n_max + 1):
-        rhs = sum((f_tot[2 * k] * mu[n - k] for k in range(1, n + 1)), Fraction(0))
-        rhs += w.alpha0 * p[n]
-        worst = max(worst, abs(mu[n] - rhs))
-    residuals["even_return"] = worst
-
-    worst = Fraction(0)
-    for n in range(1, n_max + 1):
-        rhs = sum((f_tot[2 * k] * p[n - k] for k in range(1, n)), Fraction(0))
-        rhs += w.alpha0 * mu[n - 1]
-        worst = max(worst, abs(p[n] - rhs))
-    residuals["lagged_return"] = worst
-
-    worst = Fraction(0)
-    for gen, a_tab in tables.avoiding_even_returns.items():
-        f_gen = tables.excursion_returns[gen]
-        b_tab = tables.avoiding_odd_returns[gen]
-        for n in range(1, (len(a_tab) - 1) // 2 + 1):
-            rhs = sum(
-                ((f_tot[2 * k] - f_gen[2 * k]) * a_tab[2 * n - 2 * k] for k in range(1, n + 1)),
-                Fraction(0),
-            )
-            rhs += w.alpha0 * b_tab[2 * n - 1]
-            worst = max(worst, abs(a_tab[2 * n] - rhs))
-    residuals["avoiding_even"] = worst
-
-    worst = Fraction(0)
-    for gen, b_tab in tables.avoiding_odd_returns.items():
-        a_tab = tables.avoiding_even_returns[gen]
-        for n in range(1, (len(b_tab) + 1) // 2 + 1):
-            if 2 * n - 1 >= len(b_tab):
-                break
-            rhs = sum(
-                (f_tot[2 * k] * b_tab[2 * n - 2 * k - 1] for k in range(1, n)),
-                Fraction(0),
-            )
-            rhs += w.alpha0 * a_tab[2 * n - 2]
-            worst = max(worst, abs(b_tab[2 * n - 1] - rhs))
-    residuals["avoiding_odd"] = worst
-
-    worst = Fraction(0)
-    for gen, f_gen in tables.excursion_returns.items():
-        a_tab = tables.avoiding_even_returns[gen]
-        d_gen = tables.detour_returns[gen]
-        alpha = w.alpha.get(gen, Fraction(0))
-        for n in range(1, n_max + 1):
-            if 2 * n - 2 >= len(a_tab):
-                break
-            rhs = alpha * alpha * a_tab[2 * n - 2] + d_gen[2 * n]
-            worst = max(worst, abs(f_gen[2 * n] - rhs))
-    residuals["excursion_split"] = worst
-
-    return residuals
-
-
 # -- truncated power series ---------------------------------------------------
 
 class Series:
@@ -367,9 +292,6 @@ class Series:
 
     def __eq__(self, other):
         return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other: "Series") -> "Series":
         k = min(self.degree, other.degree)
@@ -417,22 +339,66 @@ class Series:
             out[n] = -acc * inv0
         return Series(out)
 
-    def sqrt(self) -> "Series":
-        """Square root by Newton iteration, doubling precision each pass."""
-        if self.coeffs[0] != 1:
-            raise ValueError("sqrt implemented for constant term 1 only")
-        half = Fraction(1, 2)
-        current = Series([Fraction(1)])
-        precision = 1
-        while precision <= self.degree:
-            precision = min(2 * precision, self.degree + 1)
-            target = Series(self.coeffs[:precision])
-            lifted = Series(current.coeffs + (Fraction(0),) * (precision - len(current.coeffs)))
-            current = (lifted + target * lifted.reciprocal()).scale(half)
-        return current
+
+# -- recurrences and generating functions ------------------------------------
+
+def _return_gfs(tables: ProbabilityTables) -> tuple[Series, Series, Series]:
+    """The even returns at even degrees, the lagged returns at odd degrees,
+    and the summed excursion tables, all as series of degree 2*n_max."""
+    g = [Fraction(0)] * (2 * tables.n_max + 1)
+    h = list(g)
+    g[0::2] = tables.even_returns
+    h[1::2] = tables.lagged_returns[1:]
+    excursions = (Series(t) for t in tables.excursion_returns.values())
+    return Series(g), Series(h), sum(excursions, Series.constant(0, len(g) - 1))
 
 
-# -- generating functions -----------------------------------------------------
+def _largest(diffs, first: int) -> Fraction:
+    """Largest |coefficient| of the series at degrees first, first + 2, ..."""
+    return max((abs(c) for d in diffs for c in d.coeffs[first::2]), default=Fraction(0))
+
+
+def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
+    """Max absolute residual of each first-return decomposition, exactly.
+
+    With G, H and F the returns, lagged returns and summed excursions as
+    in generating_functions, and per generator of weight alpha f its
+    excursions, d its detours and A, B its avoiding tables, the keys are
+        even_return      G = 1 + F G + alpha0 z H        (even degrees)
+        lagged_return    H = F H + alpha0 z G            (odd degrees)
+        avoiding_even    A = 1 + (F - f) A + alpha0 z B  (even degrees)
+        avoiding_odd     B = F B + alpha0 z A            (odd degrees)
+        excursion_split  f = alpha^2 z^2 A + d           (even degrees)
+    Each residual is the largest coefficient of the difference of the two
+    sides at the degrees named, from 1 up to the shortest table's horizon.
+    Only that parity is read: with a lazy weight A has odd horizons too,
+    so the excursion_split of generating_functions, which reads every
+    degree, differs (see SeriesBundle).
+    """
+    alpha0 = tables.weights.alpha0
+    G, H, F = _return_gfs(tables)
+
+    def times_z(series: Series, powers: int = 1) -> Series:
+        # unlike shift, keeps every coefficient: the degree grows by `powers`
+        return Series((0,) * powers + series.coeffs)
+
+    avoid_even, avoid_odd, split = [], [], []
+    for gen, table in tables.excursion_returns.items():
+        f = Series(table)
+        A = Series(tables.avoiding_even_returns[gen])
+        B = Series(tables.avoiding_odd_returns[gen])
+        alpha = tables.weights.alpha.get(gen, Fraction(0))
+        avoid_even.append(A - (F - f) * A - times_z(B).scale(alpha0))
+        avoid_odd.append(B - F * B - times_z(A).scale(alpha0))
+        split.append(f - times_z(A, 2).scale(alpha * alpha) - Series(tables.detour_returns[gen]))
+    return {
+        "even_return": _largest([G - F * G - times_z(H).scale(alpha0)], 2),
+        "lagged_return": _largest([H - F * H - times_z(G).scale(alpha0)], 1),
+        "avoiding_even": _largest(avoid_even, 2),
+        "avoiding_odd": _largest(avoid_odd, 1),
+        "excursion_split": _largest(split, 2),
+    }
+
 
 @dataclass(frozen=True)
 class SeriesBundle:
@@ -446,7 +412,12 @@ class SeriesBundle:
     residuals: "reciprocal_relation" is the largest coefficient of
     returns_gf * (1 - excursion_total_gf - lazy_gf) - 1; "excursion_split"
     the largest coefficient mismatch of excursion_gf against
-    alpha^2 z^2 * avoiding_even_gf + detour_gf over all generators.
+    alpha^2 z^2 * avoiding_even_gf + detour_gf over all generators and
+    every degree.  The odd degrees are where it parts from the even-degree
+    excursion_split of verify_recurrences: with a lazy weight,
+    avoiding_even_gf has alpha0 at degree 1, so this residual picks up
+    alpha^2 * alpha0 at degree 3 (1/729 for F2xF2 at a = alpha0 = 1/9,
+    where the recurrence reads 1/6561 at degree 4).
     """
 
     returns_gf: Series
@@ -463,16 +434,7 @@ class SeriesBundle:
 def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
     degree = 2 * tables.n_max
     zero = Fraction(0)
-
-    g_coeffs = [zero] * (degree + 1)
-    for n, value in enumerate(tables.even_returns):
-        g_coeffs[2 * n] = value
-    returns_gf = Series(g_coeffs)
-
-    h_coeffs = [zero] * (degree + 1)
-    for n in range(1, tables.n_max + 1):
-        h_coeffs[2 * n - 1] = tables.lagged_returns[n]
-    lagged_gf = Series(h_coeffs)
+    returns_gf, lagged_gf, total = _return_gfs(tables)
 
     def step_indexed(table) -> Series:
         coeffs = list(table) + [zero] * (degree + 1 - len(table))
@@ -480,14 +442,9 @@ def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
 
     excursion_gf = {g: step_indexed(t) for g, t in tables.excursion_returns.items()}
     detour_gf = {g: step_indexed(t) for g, t in tables.detour_returns.items()}
-    avoiding_even_gf = {
-        g: step_indexed(t) for g, t in tables.avoiding_even_returns.items()
-    }
+    avoiding_even_gf = {g: step_indexed(t) for g, t in tables.avoiding_even_returns.items()}
     avoiding_odd_gf = {g: step_indexed(t) for g, t in tables.avoiding_odd_returns.items()}
 
-    total = Series.constant(0, degree)
-    for series in excursion_gf.values():
-        total = total + series
     lazy_gf = (
         Series.monomial(tables.weights.alpha0**2, 2, degree)
         * (Series.constant(1, degree) - total).reciprocal()

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from leinert.groups import Word, is_bad
+from leinert.groups import Word
+from reference_groups import is_bad
 
 
 def substrings(word: Word, proper: bool = False) -> Iterator[Word]:

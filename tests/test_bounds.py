@@ -27,7 +27,7 @@ from leinert import (
     woess_radius,
 )
 from leinert import bounds
-from leinert.bounds import eval_P_second
+from leinert.bounds import eval_P_second, g_pole
 from reference_radius import (
     fixed_point_G,
     radius_from_vertical_tangent,
@@ -417,6 +417,41 @@ class TestReport:
         assert report.r_lower <= report.r_upper
         assert report.gap == pytest.approx(report.r_upper - report.r_lower)
         assert 0 < report.relative_gap < 1
+
+    @pytest.mark.parametrize(
+        "s, a, R, pole, root",
+        [
+            (1, 0.1, 0.3, 0.1731358126, 0.2098462560),
+            (1, 0.25, 2.0, 1.0352761804, 1.1099162641),
+            (2, 0.05, 0.1, 0.0447199285, 0.0498375339),
+        ],
+    )
+    def test_pole_before_the_discriminant_root(self, s, a, R, pole, root):
+        # where A reaches 0 with B < 0 the G branch has a pole; r_lower
+        # stops there, while the discriminant radius stays the root
+        problem = RadiusProblem(s=s, a=a, d_bound=DBound.radius_form(R))
+        assert g_pole(problem) == pytest.approx(pole, abs=1e-9)
+        assert radius_from_discriminant(problem) == pytest.approx(root, abs=1e-9)
+        assert bound_report(problem).r_lower == g_pole(problem)
+        A, B, _ = quadratic_coeffs(pole, problem.d_bound.value(pole), s, a)
+        assert abs(A) < 1e-9 and B < 0
+        assert solve_G_upper(0.9999 * pole, problem) > 1e3
+
+    def test_no_pole_where_B_stays_nonnegative(self):
+        assert g_pole(RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(2.0))) == math.inf
+        assert g_pole(RadiusProblem(s=1, a=0.25, d_bound=DBound.zero())) == math.inf
+
+    def test_branch_returns_below_r_lower(self):
+        d_bounds = [DBound.zero(), DBound.geometric_rate(0.5), DBound.geometric_rate(3.0)]
+        d_bounds += [DBound.radius_form(R) for R in (0.1, 0.3, 0.5, 1.0, 2.0, 5.0, 20.0)]
+        for s in range(1, 9):
+            for a in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0):
+                for d_bound in d_bounds:
+                    problem = RadiusProblem(s=s, a=a, d_bound=d_bound)
+                    r_lower = bound_report(problem).r_lower
+                    assert r_lower <= radius_from_discriminant(problem)
+                    for fraction in (0.5, 0.9, 0.999):
+                        assert solve_G_upper(fraction * r_lower, problem) >= 1.0
 
     def test_zero_decay_report_collapses(self):
         problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.zero())

@@ -15,12 +15,10 @@ from leinert import (
     brute_force_return_walks,
     composition_sum_identity,
     compositions_count,
-    conjugation_extension_count,
     count_bad_exact,
     first_return_formula,
     fit_exponential_rate,
     growth_rate,
-    is_bad,
     is_kernel,
     iter_bad_strings,
     iter_compositions,
@@ -29,17 +27,20 @@ from leinert import (
     take_census,
     valid_string_count,
     walk_formula_comparison,
-    word_from_text,
 )
 from leinert.census import (
     GrowthEstimate,
     InsufficientDataError,
-    composition_sum_enumerated,
-    iter_valid_strings,
     walk_distance_distribution,
     write_census_csv,
 )
-from reference_census import conjugation_extensions
+from reference_census import (
+    composition_sum_enumerated,
+    conjugation_extension_count,
+    conjugation_extensions,
+    iter_valid_strings,
+)
+from reference_groups import is_bad, word_from_text
 from reference_kernel import is_kernel as reference_is_kernel
 
 F2F2 = parse_signature("F2xF2")

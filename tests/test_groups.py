@@ -11,17 +11,20 @@ from leinert import (
     Letter,
     MalformedWordError,
     Word,
-    is_bad,
     is_kernel,
     is_reduced_string,
     is_simple_cycle,
-    is_valid_string,
     normal_form,
     parse_signature,
-    word_from_text,
     word_to_text,
 )
-from reference_groups import StringKind, classify_string
+from reference_groups import (
+    StringKind,
+    classify_string,
+    is_bad,
+    is_valid_string,
+    word_from_text,
+)
 from reference_kernel import is_kernel as reference_is_kernel
 from reference_kernel import substrings
 from reference_parity import exponent_sums

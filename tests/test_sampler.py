@@ -14,14 +14,12 @@ from leinert import (
     Word,
     estimate_bad_frequency,
     estimate_decay_rate,
-    is_bad,
     is_reduced_string,
-    is_valid_string,
     parse_signature,
     wilson_interval,
-    word_from_text,
 )
 from leinert import rng, sampler
+from reference_groups import is_bad, is_valid_string, word_from_text
 from reference_parity import exponent_sums
 from reference_sampler import _draw_chunk as per_column_draw
 from reference_sampler import scatter_parity

@@ -26,11 +26,20 @@ from leinert import (
 from leinert.groups import GroupSignature, Letter, Word
 from leinert.series import bundle_to_json, tables_to_json
 from reference_dp import reference_dp_tables
+from reference_series import verify_recurrences as reference_verify_recurrences
 
 F2F2 = parse_signature("F2xF2")
 F1F1 = parse_signature("F1xF1")
 
 F = Fraction
+
+# random small signatures, horizons and weights, lazy ones included
+SMALL_WALKS = dict(
+    ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda r: sum(r) <= 5),
+    n_max=st.integers(1, 3),
+    a=st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20),
+    alpha0=st.sampled_from([F(0), F(1, 3), F(2, 7)]),
+)
 
 
 def norm_weights(sig, a, alpha0=0):
@@ -141,8 +150,9 @@ class TestFrozenTables:
 
     def test_total_excursions(self, f2f2_norm):
         # one table per base, 4 of them on F2xF2
-        total = f2f2_norm.total_excursion_returns(2)
+        total = sum(table[2] for table in f2f2_norm.excursion_returns.values())
         assert total == 4 * F(1, 64)
+        assert generating_functions(f2f2_norm).excursion_total_gf[2] == total
 
 
 class TestDetours:
@@ -206,6 +216,43 @@ class TestRecurrences:
         residuals = verify_recurrences(broken)
         assert residuals["even_return"] != 0
         assert residuals["lagged_return"] == 0
+
+
+class TestRecurrenceOracle:
+    """verify_recurrences against the hand-indexed loops it replaced."""
+
+    def test_fixtures(self, f2f2_norm, f2f2_lazy, f1f1_norm):
+        for tables in (f2f2_norm, f2f2_lazy, f1f1_norm):
+            assert verify_recurrences(tables) == reference_verify_recurrences(tables)
+
+    @pytest.mark.parametrize(
+        "group, rates, alpha0",
+        [
+            ("F1xF1xF1", (F(1, 7), F(1, 7), F(1, 7)), F(1, 7)),
+            ("F1xF2", (F(1, 5), F(1, 10)), F(1, 10)),
+            ("F2xF1", (F(1, 6), F(0)), F(1, 3)),
+        ],
+    )
+    def test_lazy_and_differing_rates(self, group, rates, alpha0):
+        sig = parse_signature(group)
+        weights = WalkWeights(F(alpha0), {(i, j): rates[i] for i, j in sig.bases()})
+        tables = dp_tables(sig, weights, 4)
+        assert verify_recurrences(tables) == reference_verify_recurrences(tables)
+
+    def test_a_broken_table_breaks_both_alike(self, f2f2_lazy):
+        for field in ("avoiding_even_returns", "avoiding_odd_returns", "detour_returns"):
+            table = dict(getattr(f2f2_lazy, field))
+            gen = next(iter(table))
+            table[gen] = table[gen][:3] + (table[gen][3] + F(1, 7),) + table[gen][4:]
+            broken = dataclasses.replace(f2f2_lazy, **{field: table})
+            assert verify_recurrences(broken) == reference_verify_recurrences(broken)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**SMALL_WALKS)
+    def test_random_signatures(self, ranks, n_max, a, alpha0):
+        sig = GroupSignature(tuple(ranks))
+        tables = dp_tables(sig, norm_weights(sig, a, alpha0), n_max)
+        assert verify_recurrences(tables) == reference_verify_recurrences(tables)
 
 
 class TestBruteForceOracle:
@@ -274,12 +321,7 @@ class TestReferenceOracle:
             dp_tables(F2F2, weights, 2)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda r: sum(r) <= 5),
-        n_max=st.integers(1, 3),
-        a=st.fractions(min_value=F(1, 20), max_value=1, max_denominator=20),
-        alpha0=st.sampled_from([F(0), F(1, 3), F(2, 7)]),
-    )
+    @given(**SMALL_WALKS)
     def test_random_signatures(self, ranks, n_max, a, alpha0):
         sig = GroupSignature(tuple(ranks))
         weights = norm_weights(sig, a, alpha0)
@@ -296,17 +338,6 @@ class TestSeriesArithmetic:
         s = Series((F(1), F(2), F(-3), F(5), F(7)))
         prod = s * s.reciprocal()
         assert prod.coeffs == (F(1), F(0), F(0), F(0), F(0))
-
-    def test_sqrt_oracle(self):
-        # sqrt(1 + 4t^2) = 1 + 2t^2 - 2t^4 + 4t^6 - 10t^8 + ...
-        s = Series.constant(F(1), 8) + Series.monomial(F(4), 2, 8)
-        root = s.sqrt()
-        assert root.coeffs == (F(1), 0, F(2), 0, F(-2), 0, F(4), 0, F(-10))
-        assert (root * root).coeffs == s.coeffs
-
-    def test_sqrt_needs_unit_constant(self):
-        with pytest.raises(ValueError):
-            Series((F(2), F(1))).sqrt()
 
     def test_mul_truncates_to_min_degree(self):
         a = Series((F(1), F(1)))
@@ -330,6 +361,21 @@ class TestGeneratingFunctions:
     def test_split_relation(self, f2f2_norm, f2f2_lazy):
         assert generating_functions(f2f2_norm).residuals["excursion_split"] == 0
         assert generating_functions(f2f2_lazy).residuals["excursion_split"] == F(1, 729)
+
+    def test_split_residuals_differ_by_parity(self, f2f2_lazy):
+        # the generating-function check reads every degree; its 1/729 sits at
+        # degree 3, alpha^2 times the lazy weight avoiding_even holds at
+        # horizon 1, where the recurrence, reading even degrees, finds 1/6561
+        bundle = generating_functions(f2f2_lazy)
+        alpha, alpha0 = F(1, 9), f2f2_lazy.weights.alpha0
+        for gen, f_series in bundle.excursion_gf.items():
+            predicted = bundle.avoiding_even_gf[gen].shift(2).scale(alpha * alpha)
+            diff = (f_series - predicted - bundle.detour_gf[gen]).coeffs
+            assert f2f2_lazy.avoiding_even_returns[gen][1] == alpha0
+            assert diff[3] == -alpha * alpha * alpha0 == -F(1, 729)
+            assert max(abs(c) for c in diff[0::2]) == F(1, 6561)
+            assert max(map(abs, diff)) == abs(diff[3])
+        assert verify_recurrences(f2f2_lazy)["excursion_split"] == F(1, 6561)
 
     def test_lazy_gf_closed_form(self, f2f2_lazy):
         # lazy excursions: alpha0^2 z^2 / (1 - F), expanded as a product
