@@ -1,18 +1,28 @@
 """Exact enumeration of bad strings and the counting identities around them.
 
-The census walks the tree of valid strings depth first.  Exponents are forced
-by the alternation pattern, so the search runs over base sequences with
-adjacent bases distinct; per-factor cancellation stacks are carried along and
-a branch is abandoned as soon as the letters still to be placed cannot cancel
-what the stacks hold.  That stack-length prune implies the abelianization
-(parity) bound and more, so no separate parity check is needed.  All counts
-are exact integers.
+Exponents are forced by the alternation pattern, so valid strings are base
+sequences with adjacent bases distinct, and a prefix evaluates through
+per-factor cancellation stacks.  The census lumps prefixes into classes, as
+the walk DP in `series` does (Kemeny-Snell lumpability; Flajolet-Sedgewick,
+Analytic Combinatorics, ch. V, on transfer matrices).  A class holds each
+factor's stack as its string of exponent signs, the factor of the last
+letter, and whether that letter pushed or popped.  The class alone fixes how
+many letters lead to each next class, so an integer DP over classes counts
+the bad strings exactly: they are the strings that end with every stack
+empty.
+
+Two prunes keep the search small.  A forward sweep drops every class whose
+stacks hold more letters than remain to be placed, since each letter can
+shorten them by at most one; that implies the abelianization (parity) bound
+and more.  A backward sweep then keeps only the classes that still complete
+to a bad string, and the depth-first search that lists the bad strings
+follows those classes, so it visits only prefixes of bad strings.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
-of the first k letters, so the census counts a bad string as a kernel
-exactly when P_0, ..., P_{L-1} are pairwise distinct, checked in one O(L)
-pass over the raw letters of each leaf.
+of the first k letters, so a bad string is a kernel exactly when P_0, ...,
+P_{L-1} are pairwise distinct.  The search keeps each P_k as a tuple of
+interned stack ids and counts the repeats along its path as it goes.
 
 Alongside the enumeration sit the closed-form counts (the length-8 and
 length-12 formulas, composition identities) and an
@@ -32,13 +42,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import (
-    GroupSignature,
-    Letter,
-    Word,
-    is_kernel,
-    is_simple_cycle,
-)
+from .groups import GroupSignature, Letter, Word
+from .groups import is_kernel  # unused here; perfbench/tracing.py binds census.is_kernel
 
 DEFAULT_BUDGET = 10**9
 
@@ -82,50 +87,143 @@ def _check_budget(signature: GroupSignature, length: int, budget: int) -> None:
         )
 
 
-def _iter_bad_letters(
+def _class_tables(
     signature: GroupSignature, length: int
-) -> Iterator[list[tuple[int, int, int]]]:
-    """Depth-first search for the bad valid strings of one length.
+) -> tuple[int, list, int | None]:
+    """The lumped class DP of the valid strings of one length.
 
-    The per-factor stacks are updated incrementally; a prefix dies once the
-    total stack length exceeds the number of letters still to come, since
-    each remaining letter can shorten the stacks by at most one.  Each bad
-    string comes out as the live list of its (factor, gen, exp) triples,
-    which changes as the search moves on: read it before the next step.
+    A class is `(codes, last)`: codes[f] is factor f's stack as a bit string
+    of exponent signs (1 for +1) behind a leading 1, and last is
+    2 * factor + pushed for the last letter (-1 before the first).  With e
+    the next exponent, a factor whose top has sign -e can cancel it with one
+    generator and append any other.  The last letter's base is barred: after
+    a push in f, f only appends, in rank - 1 ways; after a pop in f, the new
+    top never has the barred generator, so f keeps its cancel if it has one
+    and loses one append.
+
+    The forward sweep counts the prefixes of each class, dropping every
+    class whose stacks outgrow the letters still to come; the bad count is
+    the count at the last depth, where every stack is empty.  The backward
+    sweep numbers the classes that still complete to a bad string.  Returns
+    (bad, rows, root): rows[c] lists `(factor, pop child, push child)` for
+    every factor with a live move out of class c, a dead move as None, and
+    root is the class of the empty prefix, None when no bad string exists.
     """
-    bases = list(signature.bases())
-    stacks: list[list[int]] = [[] for _ in signature.factors]
+    ranks = signature.factors
+    start = ((1,) * len(ranks), -1)
+    counts = {start: 1}
+    levels = []  # per depth: class -> its (factor, pushed, child) moves
+    for depth in range(length):
+        bit = depth % 2
+        room = length - depth - 1
+        following: dict = defaultdict(int)
+        moves = {}
+        for (codes, last), count in counts.items():
+            stacked = sum(code.bit_length() for code in codes) - len(codes)
+            out = moves[codes, last] = []
+            for f, rank in enumerate(ranks):
+                code = codes[f]
+                cancels = int(code > 1 and code & 1 != bit and last != 2 * f + 1)
+                appends = rank - cancels - (last // 2 == f)
+                for pushed, ways, child_code in (
+                    (0, cancels, code >> 1),
+                    (1, appends, 2 * code + bit),
+                ):
+                    if ways and (not pushed or stacked < room):
+                        child = (codes[:f] + (child_code,) + codes[f + 1:], 2 * f + pushed)
+                        following[child] += count * ways
+                        out.append((f, pushed, child))
+        levels.append(moves)
+        counts = following
+    bad = sum(counts.values())
+
+    rows: list = [()] * len(counts)
+    ids = dict(zip(counts, range(len(counts))))
+    for moves in reversed(levels):
+        live = {}
+        for key, out in moves.items():
+            row: dict = {}
+            for f, pushed, child in out:
+                if child in ids:
+                    row.setdefault(f, [None, None])[pushed] = ids[child]
+            if row:
+                live[key] = len(rows)
+                rows.append(tuple((f, pop, push) for f, (pop, push) in row.items()))
+        ids = live
+    return bad, rows, ids.get(start)
+
+
+def _walk_bad(
+    signature: GroupSignature, length: int, rows: list, root: int | None
+) -> Iterator[tuple[list[tuple[int, int, int]], bool]]:
+    """Depth-first search of the bad valid strings of one length.
+
+    Bases are tried in canonical order, and a move is taken only when the
+    class tables of `_class_tables` keep it alive, so every prefix visited
+    completes to a bad string.  Each stack state of a factor is interned as
+    a small int, keyed by its parent state and the letter pushed; P_k is the
+    tuple of the factors' state ids, and the search counts how many of
+    P_1, ..., P_k repeat an earlier one on the current path.  P_L is the
+    identity P_0 again, so a bad string is a kernel when that is its only
+    repeat.  Yields the live list of (factor, gen, exp) triples of each bad
+    string with whether it is a kernel; the list changes as the search moves
+    on, so read it before the next step.
+    """
+    if root is None:
+        return
+    ranks = signature.factors
+    # per exponent and factor: (signed generator, letter) in generator order
+    letters = [
+        [[(exp * (g + 1), (f, g, exp)) for g in range(rank)] for f, rank in enumerate(ranks)]
+        for exp in (-1, 1)
+    ]
+    interned: dict[tuple[int, int], int] = {}
+    tops = [0]  # the top letter of each interned state; 0 for the empty stack
+    state_ids = [[0] for _ in ranks]  # per factor, the states down its stack
+    current = [0] * len(ranks)
+    seen = {tuple(current): 1}
     seq: list[tuple[int, int, int]] = []
+    repeats = 0
 
-    def walk(depth: int, stacked: int):
+    def walk(depth: int, cls: int, prev_factor: int, prev_signed: int):
+        nonlocal repeats
         if depth == length:
-            if stacked == 0:
-                yield seq
+            yield seq, repeats == 1
             return
-        exp = -1 if depth % 2 == 0 else 1
-        prev = seq[-1] if seq else None
-        remaining = length - depth - 1
-        for factor, gen in bases:
-            if prev is not None and factor == prev[0] and gen == prev[1]:
-                continue
-            stack = stacks[factor]
-            signed = exp * (gen + 1)
-            if stack and stack[-1] == -signed:
-                stack.pop()
-                delta = -1
-            else:
-                stack.append(signed)
-                delta = 1
-            if stacked + delta <= remaining:
-                seq.append((factor, gen, exp))
-                yield from walk(depth + 1, stacked + delta)
+        for factor, pop_child, push_child in rows[cls]:
+            ids = state_ids[factor]
+            cancel = -tops[ids[-1]]
+            barred = -prev_signed if factor == prev_factor else 0
+            for signed, letter in letters[depth % 2][factor]:
+                if signed == barred:
+                    continue
+                child = pop_child if signed == cancel else push_child
+                if child is None:
+                    continue
+                if signed == cancel:
+                    popped = ids.pop()
+                else:
+                    state = interned.setdefault((ids[-1], signed), len(tops))
+                    if state == len(tops):
+                        tops.append(signed)
+                    ids.append(state)
+                current[factor] = ids[-1]
+                product = tuple(current)
+                n = seen.get(product, 0)
+                seen[product] = n + 1
+                repeats += n > 0
+                seq.append(letter)
+                yield from walk(depth + 1, child, factor, signed)
                 seq.pop()
-            if delta > 0:
-                stack.pop()
-            else:
-                stack.append(-signed)
+                seen[product] = n
+                repeats -= n > 0
+                if signed == cancel:
+                    ids.append(popped)
+                else:
+                    ids.pop()
+                current[factor] = ids[-1]
 
-    yield from walk(0, 0)
+    yield from walk(0, root, -1, 0)
 
 
 def iter_bad_strings(
@@ -134,7 +232,8 @@ def iter_bad_strings(
     """The bad valid strings of one length, as Words, in search order."""
     _check_length(length)
     _check_budget(signature, length, budget)
-    for seq in _iter_bad_letters(signature, length):
+    _, rows, root = _class_tables(signature, length)
+    for seq, _ in _walk_bad(signature, length, rows, root):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
@@ -145,12 +244,8 @@ def count_bad_exact(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact number of bad valid strings (or just the minimal ones)."""
-    count = 0
-    for word in iter_bad_strings(signature, length, budget):
-        if kernel_only and not is_kernel(word):
-            continue
-        count += 1
-    return count
+    entry = take_census(signature, [length], budget).entries[length]
+    return entry.kernels if kernel_only else entry.bad
 
 
 @dataclass(frozen=True)
@@ -178,22 +273,20 @@ def take_census(
     lengths: Iterable[int],
     budget: int = DEFAULT_BUDGET,
 ) -> BadStringCensus:
-    """Enumerate bad strings and kernels for each requested (even) length.
+    """Count bad strings and kernels for each requested (even) length.
 
-    Every length is checked against the budget before any is enumerated.
+    The class DP gives the bad count; the search over its live classes
+    counts the kernels.  Every length is checked against the budget before
+    any is counted.
     """
     lengths = list(lengths)
     for length in lengths:
         _check_length(length)
         _check_budget(signature, length, budget)
     entries = {}
-    m = signature.num_factors
     for length in lengths:
-        bad = 0
-        kernels = 0
-        for seq in _iter_bad_letters(signature, length):
-            bad += 1
-            kernels += is_simple_cycle(seq, m)
+        bad, rows, root = _class_tables(signature, length)
+        kernels = sum(kernel for _, kernel in _walk_bad(signature, length, rows, root))
         entries[length] = CensusEntry(valid_string_count(signature, length), bad, kernels)
     return BadStringCensus(signature, entries)
 

@@ -2,6 +2,9 @@
 
 - `iter_valid_strings` lists every valid string of a length with no
   pruning, the ground truth for the census and the samplers;
+- `_iter_bad_letters` is the census search before the class DP: it prunes
+  by stack length alone, and with `is_simple_cycle` on each leaf it is the
+  oracle for the bad strings, their order and their kernel flags;
 - `composition_sum_enumerated` sums the composition chain term by term;
 - `conjugation_extension_count` is the closed count s - 2 of letters
   wrapping a minimal bad string, and `conjugation_extensions` the brute
@@ -44,6 +47,52 @@ def iter_valid_strings(signature: GroupSignature, length: int) -> Iterator[Word]
             seq.pop()
 
     yield from walk([])
+
+
+def _iter_bad_letters(
+    signature: GroupSignature, length: int
+) -> Iterator[list[tuple[int, int, int]]]:
+    """Depth-first search for the bad valid strings of one length.
+
+    The per-factor stacks are updated incrementally; a prefix dies once the
+    total stack length exceeds the number of letters still to come, since
+    each remaining letter can shorten the stacks by at most one.  Each bad
+    string comes out as the live list of its (factor, gen, exp) triples,
+    which changes as the search moves on: read it before the next step.
+    """
+    bases = list(signature.bases())
+    stacks: list[list[int]] = [[] for _ in signature.factors]
+    seq: list[tuple[int, int, int]] = []
+
+    def walk(depth: int, stacked: int):
+        if depth == length:
+            if stacked == 0:
+                yield seq
+            return
+        exp = -1 if depth % 2 == 0 else 1
+        prev = seq[-1] if seq else None
+        remaining = length - depth - 1
+        for factor, gen in bases:
+            if prev is not None and factor == prev[0] and gen == prev[1]:
+                continue
+            stack = stacks[factor]
+            signed = exp * (gen + 1)
+            if stack and stack[-1] == -signed:
+                stack.pop()
+                delta = -1
+            else:
+                stack.append(signed)
+                delta = 1
+            if stacked + delta <= remaining:
+                seq.append((factor, gen, exp))
+                yield from walk(depth + 1, stacked + delta)
+                seq.pop()
+            if delta > 0:
+                stack.pop()
+            else:
+                stack.append(-signed)
+
+    yield from walk(0, 0)
 
 
 def composition_sum_enumerated(s: int, total: int) -> int:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from leinert import (
     BudgetExceededError,
     GroupSignature,
+    Letter,
     bad_count_length8_formula,
     bad_count_length12_formula,
     brute_force_return_walks,
@@ -34,7 +35,9 @@ from leinert.census import (
     walk_distance_distribution,
     write_census_csv,
 )
+from leinert.groups import is_simple_cycle
 from reference_census import (
+    _iter_bad_letters,
     composition_sum_enumerated,
     conjugation_extension_count,
     conjugation_extensions,
@@ -45,6 +48,14 @@ from reference_kernel import is_kernel as reference_is_kernel
 
 F2F2 = parse_signature("F2xF2")
 Z3 = parse_signature("Z3")
+
+
+def oracle_leaves(signature, length):
+    """The reference search's bad strings, as Letter tuples, with kernel flags."""
+    return [
+        (tuple(Letter(*t) for t in seq), is_simple_cycle(seq, signature.num_factors))
+        for seq in _iter_bad_letters(signature, length)
+    ]
 
 
 class TestValidStrings:
@@ -98,6 +109,11 @@ class TestBadCounts:
             for length in (2, 4, 6, 8):
                 assert count_bad_exact(sig, length) == 0
 
+    def test_kernel_only(self):
+        assert count_bad_exact(F2F2, 8, kernel_only=True) == 16
+        assert count_bad_exact(F2F2, 10, kernel_only=True) == 0
+        assert count_bad_exact(Z3, 8, kernel_only=True) == 0
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_bad_exact(F2F2, 8, budget=100)
@@ -127,11 +143,12 @@ class TestCensusObject:
         )
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
-        # the refusal at length 20 comes before any length is enumerated
+        # the refusal at length 20 comes before any length is counted or searched
         def no_search(*args):
             raise AssertionError("enumerated before the budget check")
 
-        monkeypatch.setattr("leinert.census._iter_bad_letters", no_search)
+        monkeypatch.setattr("leinert.census._class_tables", no_search)
+        monkeypatch.setattr("leinert.census._walk_bad", no_search)
         with pytest.raises(BudgetExceededError, match="at length 20"):
             take_census(F2F2, range(2, 100, 2))
 
@@ -155,6 +172,55 @@ class TestCensusObject:
                 len(bad),
                 kernels,
             )
+
+
+class TestAgainstReferenceSearch:
+    """The class DP and its pruned search against the stack-length search."""
+
+    @pytest.mark.parametrize(
+        "name, max_length",
+        [
+            ("F2xF2", 14),
+            ("F2xF2xF2", 10),
+            ("F2xF3", 12),
+            ("Z3", 12),
+            ("Z4", 12),
+            ("F1xF1xF2", 12),
+            ("F3xF1", 10),
+            ("F1xF3", 12),
+        ],
+    )
+    def test_census(self, name, max_length):
+        sig = parse_signature(name)
+        census = take_census(sig, range(2, max_length + 1, 2))
+        for length in census.lengths():
+            flags = [kernel for _, kernel in oracle_leaves(sig, length)]
+            e = census.entries[length]
+            assert (e.bad, e.kernels) == (len(flags), sum(flags)), length
+
+    @pytest.mark.parametrize(
+        "name, length", [("F2xF2", 10), ("F2xF2", 12), ("Z4", 8), ("F1xF1xF2", 10)]
+    )
+    def test_bad_strings_in_search_order(self, name, length):
+        sig = parse_signature(name)
+        expected = [letters for letters, _ in oracle_leaves(sig, length)]
+        assert [w.letters for w in iter_bad_strings(sig, length)] == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(
+            lambda r: 2 <= sum(r) <= 5
+        ),
+        length=st.sampled_from([2, 4, 6, 8, 10]),
+    )
+    @example(ranks=[1, 1, 1, 1, 1], length=10)
+    @example(ranks=[2, 3], length=10)
+    def test_random_signatures(self, ranks, length):
+        sig = GroupSignature(tuple(ranks))
+        leaves = oracle_leaves(sig, length)
+        e = take_census(sig, [length]).entries[length]
+        assert (e.bad, e.kernels) == (len(leaves), sum(k for _, k in leaves))
+        assert [w.letters for w in iter_bad_strings(sig, length)] == [l for l, _ in leaves]
 
 
 class TestClosedForms:
