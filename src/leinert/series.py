@@ -29,6 +29,16 @@ that is the tracked generator x to the tracked sign (multiplicity 1, the
 other s_i - 1 appends going unmarked), so the opening letter x^-1 and the
 masked x are one-word classes, and absorbing, masking and the detour split
 act on them exactly.  Per-generator tables depend only on the factor.
+
+A class is one int, in the census's encoding: each factor's sign string is
+a bit code behind a leading 1 (1 for +1, the top letter lowest), the codes
+sit in fixed-width fields, and bit 0 flags a tracked first letter.  Every
+table but layer_mass is a return weight, and a letter shortens the stacks
+by at most one, so after step m a walk keeps only the classes whose stacks
+hold at most horizon - m letters: the others cannot get home in time.
+layer_mass needs no classes.  Every class sends out the letter weight
+l = sum_i s_i rate_i, and the identity also alpha0, so
+mass_m = l mass_(m-1) + alpha0 returns_(m-1).
 """
 
 from __future__ import annotations
@@ -42,9 +52,6 @@ from .census import BudgetExceededError
 from .groups import GroupSignature
 
 MAX_STATES = 2_000_000
-
-# One sign string per factor; a first entry of +-2 marks the tracked letter.
-State = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -124,58 +131,75 @@ def _factor_rates(signature: GroupSignature, weights: WalkWeights) -> list[Fract
     return rates
 
 
-def _moves(word, sign, rank, marked):
-    """Successor classes of one factor's sign string under a letter of `sign`.
+def _moves(code, bit, rank, split, tracked):
+    """Successor stacks of one factor's stack `code` under a letter of
+    exponent bit `bit` (1 for +1).
 
-    Each pair is a class and how many of the rank choices of generator
-    lead a word of this class into it.  A marked empty word splits its
-    appends into the tracked generator and the rest.
+    Each triple is a child code, its tracked flag, and how many of the rank
+    choices of generator lead a word of this class into it.  Cancelling the
+    tracked letter clears the flag; an empty stack with `split` set splits
+    its appends into the tracked generator and the rest.
     """
-    if word and word[-1] * sign < 0:
-        return ((word[:-1], 1), (word + (sign,), rank - 1))
-    if marked and not word:
-        return (((2 * sign,), 1), ((sign,), rank - 1))
-    return ((word + (sign,), rank),)
+    push = 2 * code + bit
+    if code > 1 and code & 1 != bit:
+        pop = code >> 1
+        return ((pop, int(tracked and pop > 1), 1), (push, tracked, rank - 1))
+    if split and code == 1:
+        return ((push, 1, 1), (push, 0, rank - 1))
+    return ((push, tracked, rank),)
 
 
-def _home(signature: GroupSignature) -> State:
-    return tuple(() for _ in signature.factors)
+def _class(width: int, codes, tracked: int = 0) -> int:
+    """Pack one stack code per factor and the tracked flag into a class."""
+    return tracked + sum(code << 1 + width * f for f, code in enumerate(codes))
 
 
-def _letter(signature: GroupSignature, factor: int, sign: int) -> State:
+def _letter(signature: GroupSignature, width: int, factor: int, sign: int) -> int:
     """The class holding just the tracked generator of `factor` to `sign`."""
-    return tuple((2 * sign,) if i == factor else () for i in range(signature.num_factors))
+    codes = [2 + (sign > 0) if f == factor else 1 for f in range(signature.num_factors)]
+    return _class(width, codes, 1)
 
 
-def _walk(signature, rates, alpha0, dist, times, first_plain, mark=None, masked=None):
+def _walk(signature, rates, alpha0, width, dist, times, first_plain, mark=None, masked=None):
     """Run the lumped walk from `dist` over the steps `times`, yielding the
     class weights after each step; `masked` is dropped after each yield.
 
     Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
     `mark` = (factor, sign) keeps apart a first letter of that factor that
     is the tracked generator to that sign.  The lazy loop fires whenever the
-    walk has weight at the identity.  The budget counts classes.
+    walk has weight at the identity.  After step m only the classes whose
+    stacks hold at most times[-1] - m letters stay: the others cannot get
+    home by the last step.  MAX_STATES bounds the classes kept after this
+    prune at each step.
     """
     zero = Fraction(0)
-    home = _home(signature)
+    ranks = signature.factors
+    home = _class(width, [1] * len(ranks))
+    low = (1 << width) - 1
+    shifts = [1 + width * f for f in range(len(ranks))]
+    marked = mark[0] if mark else None
     moves = {}
     for m in times:
-        sign = 1 if (m % 2 == 0) != first_plain else -1
-        nxt: dict[State, Fraction] = {}
+        bit = int((m % 2 == 0) != first_plain)
+        room = times[-1] - m
+        nxt: dict[int, Fraction] = {}
         for state, wt in dist.items():
-            for i, word in enumerate(state):
-                key = (i, word, sign)
+            codes = [state >> shift & low for shift in shifts]
+            grows = sum(code.bit_length() for code in codes) - len(codes) < room
+            for f, code in enumerate(codes):
+                tracked = state & 1 if f == marked else 0
+                key = (f, code, tracked, bit)
                 if key not in moves:
+                    split = mark == (f, 2 * bit - 1)
                     moves[key] = [
-                        (new, rates[i] * count)
-                        for new, count in _moves(
-                            word, sign, signature.factors[i], mark == (i, sign)
-                        )
-                        if rates[i] and count
+                        ((child - code << shifts[f]) + flag - tracked, rates[f] * ways, child > code)
+                        for child, flag, ways in _moves(code, bit, ranks[f], split, tracked)
+                        if rates[f] and ways
                     ]
-                for new, w in moves[key]:
-                    ns = state[:i] + (new,) + state[i + 1 :]
-                    nxt[ns] = nxt.get(ns, zero) + wt * w
+                for delta, w, pushed in moves[key]:
+                    if grows or not pushed:
+                        ns = state + delta
+                        nxt[ns] = nxt.get(ns, zero) + wt * w
         if alpha0 and dist.get(home):
             nxt[home] = nxt.get(home, zero) + dist[home] * alpha0
         if len(nxt) > MAX_STATES:
@@ -198,20 +222,28 @@ def dp_tables(
         raise ValueError("n_max must be >= 1")
     steps = 2 * n_max
     zero = Fraction(0)
+    alpha0 = weights.alpha0
     rates = _factor_rates(signature, weights)
-    walk = partial(_walk, signature, rates, weights.alpha0)
-    home = _home(signature)
+    # a kept stack holds at most `steps` letters, so its code fits this width
+    width = steps + 1
+    walk = partial(_walk, signature, rates, alpha0, width)
+    home = _class(width, [1] * signature.num_factors)
     origin = {home: Fraction(1)}
 
     # Flipping every exponent is an automorphism fixing the identity, so the
     # plain-first walk returns exactly as often as the inverse-first one:
     # the lagged returns are the latter's odd-step returns.
-    returns, mass = [Fraction(1)], [Fraction(1)]
+    returns = [Fraction(1)]
     for dist in walk(origin, range(1, steps + 1), False):
         returns.append(dist.get(home, zero))
-        mass.append(sum(dist.values(), zero))
     even_returns = tuple(returns[0::2])
     lagged_returns = (zero,) + tuple(returns[1::2])
+    # every class sends weight `letters` out by letter steps, and home also
+    # alpha0 by the lazy loop
+    letters = sum(rank * rate for rank, rate in zip(signature.factors, rates))
+    mass = [Fraction(1)]
+    for at_home in returns[:-1]:
+        mass.append(letters * mass[-1] + alpha0 * at_home)
 
     excursions = {}
     detours = {}
@@ -223,14 +255,14 @@ def dp_tables(
         # odd steps, and the plain step that follows is its one way home:
         # every other arrival is a detour.
         a = rates[i0]
-        opening = _letter(signature, i0, -1)
+        opening = _letter(signature, width, i0, -1)
         first, detour, on_opening = [zero, zero], [zero, zero], a
         for dist in walk({opening: a}, range(2, steps + 1), False, (i0, -1), home):
             first.append(dist.get(home, zero))
             detour.append(first[-1] - a * on_opening)
             on_opening = dist.get(opening, zero)
         # the masked walks never stand on the tracked plain letter in between
-        masked = _letter(signature, i0, 1)
+        masked = _letter(signature, width, i0, 1)
         plain = (i0, 1)
         even = [d.get(home, zero) for d in walk(origin, range(1, steps - 1), True, plain, masked)]
         odd = [d.get(home, zero) for d in walk(origin, range(1, steps), False, plain, masked)]

@@ -20,6 +20,7 @@ instead of the minimization of P(t)/t.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -95,8 +96,12 @@ def fixed_point_G(z: float, problem: RadiusProblem, tol: float = 1e-12,
     A map contracting by rho leaves the iterate within rho / (1 - rho) times
     its last step of the fixed point, and rho -> 1 toward the radius, so the
     stop bounds that error with rho = |step_k / step_(k-1)| instead of
-    trusting the step alone.  A ratio of 1 or more (past the radius, or
-    steps lost in rounding) raises rather than returning an unbounded iterate.
+    trusting the step alone.  Each evaluation of Q also rounds, by about
+    floor = eps * |g|: a step can be off by 2 floor, which bounds rho from
+    above by (step_k + 2 floor) / step_(k-1), and the floor adds
+    floor / (1 - rho) to the error.  A ratio of 1 or more (past the radius,
+    or steps lost in rounding) raises rather than returning an unbounded
+    iterate.
     """
     g, step = 1.0, None
     for _ in range(max_iters):
@@ -107,12 +112,14 @@ def fixed_point_G(z: float, problem: RadiusProblem, tol: float = 1e-12,
         if new_step == 0.0:
             return g
         if step is not None:
-            rho = new_step / step
-            if rho >= 1.0:
+            if new_step >= step:
+                ratio = new_step / step
                 raise ConvergenceError(
-                    f"fixed point stopped contracting at z = {z} (step ratio {rho:.3g})"
+                    f"fixed point stopped contracting at z = {z} (step ratio {ratio:.3g})"
                 )
-            if rho / (1.0 - rho) * new_step <= tol * max(1.0, abs(g)):
+            floor = sys.float_info.epsilon * abs(g)
+            rho = (new_step + 2.0 * floor) / step
+            if rho < 1.0 and (rho * new_step + floor) / (1.0 - rho) <= tol * max(1.0, abs(g)):
                 return g
         step = new_step
     raise ConvergenceError("fixed point did not settle")

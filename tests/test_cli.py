@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -249,10 +250,20 @@ class TestVerifySeries:
         assert "a=1/8" in capsys.readouterr().out
 
     def test_budget_failure_is_3(self, monkeypatch, capsys):
+        # the budget counts the classes that can still get home, and at
+        # n_max 3 no step keeps more than 10 of them
         monkeypatch.setattr("leinert.series.MAX_STATES", 10)
-        assert run(["verify-series", "--group", "F2xF2", "--n-max", "3"]) == 3
+        assert run(["verify-series", "--group", "F2xF2", "--n-max", "5"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("budget exceeded: walk on F2xF2")
+
+    def test_reaches_n_max_10(self, tmp_path):
+        out = tmp_path / "v"
+        assert run(["verify-series", "--group", "F2xF2", "--n-max", "10", "--out", str(out)]) == 0
+        blob = json.loads((out / "series_tables.json").read_text())
+        residuals = blob["recurrence_residuals"]
+        assert residuals["even_return"] == residuals["lagged_return"] == "0"
+        assert Fraction(blob["series"]["residuals"]["reciprocal_relation"]) == 0
 
     @pytest.mark.parametrize(
         "flags, message",

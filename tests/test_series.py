@@ -289,6 +289,7 @@ class TestReferenceOracle:
             ("F2xF2", 5, F(1, 9), F(1, 9)),
             ("F2xF3", 4, F(1, 10), 0),
             ("F2xF3", 3, F(1, 11), F(1, 11)),
+            ("F2xF2xF2", 3, F(1, 13), F(1, 13)),
         ],
     )
     def test_uniform_weights(self, group, n_max, a, alpha0):
