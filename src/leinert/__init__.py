@@ -24,7 +24,6 @@ from .bounds import (
     RadiusProblem,
     bound_report,
     curve_points,
-    d_closed_form,
     discriminant_roots,
     eval_P,
     eval_P_prime,

@@ -244,8 +244,8 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
 
     The discriminant factors as 4s^2 [((2s-1)D - 1)^2 - c^2 z^2] with
     c = 2a sqrt(2s-1), so it vanishes where (2s-1)D = 1 + sign*cz for either
-    sign (see d_closed_form).  With D = z^2 / (R^2 - z^2), multiplying
-    through by R^2 - z^2 > 0 turns each sign into the cubic
+    sign.  With D = z^2 / (R^2 - z^2), multiplying through by R^2 - z^2 > 0
+    turns each sign into the cubic
         sign*c z^3 + 2s z^2 - sign*c R^2 z - R^2 = 0
     without adding a root in (0, R).  Each cubic has exactly one root there:
     the minus sign gives the lower crossing, the plus sign the upper one,
@@ -321,16 +321,6 @@ def r_squared_closed_form(z: float, s: int, a: float, branch: int = -1) -> float
     return num / denom
 
 
-def d_closed_form(z: float, s: int, a: float) -> tuple[float, float]:
-    """Both branch values (1 ± 2 a z sqrt(2s-1)) / (2s-1).
-
-    The sign cannot be fixed from the quadratic alone, so both are
-    reported; each satisfies 4a²(1-2s)z² + ((2s-1)D - 1)² = 0.
-    """
-    root = 2.0 * a * z * math.sqrt(2.0 * s - 1.0)
-    return (1.0 + root) / (2.0 * s - 1.0), (1.0 - root) / (2.0 * s - 1.0)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Two radius estimates and their gap for one uniform problem.
@@ -366,26 +356,18 @@ def bound_report(problem: RadiusProblem) -> BoundReport:
 
 
 def curve_points(
-    s_range: Sequence[int], a_rule=None, d_bound: DBound | None = None
+    s_range: Sequence[int], d_bound: DBound | None = None
 ) -> list[tuple[int, float, float, float, float]]:
-    """Rows (s, a, z_lower, z_upper, z_free_formula) for plotting.
+    """Rows (s, a, z_lower, z_upper, z_free_formula) for plotting, at the
+    normalization a = 1/(2s).
 
-    a_rule maps s to the uniform weight; default is the normalization
-    a = 1/(2s).  z_free_formula is the closed form 1/(2a sqrt(2s-1)),
-    kept separate from the solver outputs on purpose.
+    z_free_formula is the closed form 1/(2a sqrt(2s-1)), kept separate from
+    the solver outputs on purpose.
     """
-    if a_rule is None:
-        a_rule = lambda s: 1.0 / (2.0 * s)
     d_bound = d_bound or DBound.zero()
     rows = []
     for s in s_range:
-        a = a_rule(s)
+        a = 1.0 / (2.0 * s)
         report = bound_report(RadiusProblem(s=s, a=a, d_bound=d_bound))
         rows.append((s, a, report.r_lower, report.r_upper, free_radius(s, a)))
     return rows
-
-
-def write_curve_csv(rows, stream) -> None:
-    stream.write("s,a,z_lower,z_upper,z_free_formula\n")
-    for s, a, lo, hi, free in rows:
-        stream.write(f"{s},{a:.12g},{lo:.12g},{hi:.12g},{free:.12g}\n")

@@ -279,6 +279,8 @@ def take_census(
     counts the kernels.  Every length is checked against the budget before
     any is counted.
     """
+    if signature.total_generators < 2:
+        raise ValueError("valid strings need at least two generators")
     lengths = list(lengths)
     for length in lengths:
         _check_length(length)
@@ -289,16 +291,6 @@ def take_census(
         kernels = sum(kernel for _, kernel in _walk_bad(signature, length, rows, root))
         entries[length] = CensusEntry(valid_string_count(signature, length), bad, kernels)
     return BadStringCensus(signature, entries)
-
-
-def write_census_csv(census: BadStringCensus, stream) -> None:
-    """Emit `length, total_valid, bad, kernels, frequency` rows."""
-    stream.write("length,total_valid,bad,kernels,frequency\n")
-    for length in census.lengths():
-        e = census.entries[length]
-        stream.write(
-            f"{length},{e.total_valid},{e.bad},{e.kernels},{float(e.frequency):.12g}\n"
-        )
 
 
 # -- closed-form counts -------------------------------------------------------

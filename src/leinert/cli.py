@@ -5,14 +5,15 @@ computation hits its budget or fails to converge.  With --out, a run that
 finishes writes its outputs and a manifest.json recording the full
 configuration, the seed, and a digest per output, so a run can be
 reproduced byte for byte (exact-arithmetic outputs) or statistically
-(floating ones).  Tables are CSV; radius only prints.
+(floating ones).  Every file is built in this module: tables by _table
+(CSV, and space-separated for the figure data), JSON by _json.  radius only
+prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
@@ -30,26 +31,20 @@ from .bounds import (
     discriminant_roots,
     free_radius,
     radius_from_discriminant,
-    write_curve_csv,
 )
-from .census import BudgetExceededError, DEFAULT_BUDGET, take_census, write_census_csv
+from .census import BadStringCensus, BudgetExceededError, DEFAULT_BUDGET, take_census
 from .groups import GroupSignature, MalformedWordError, parse_signature
 from .sampler import SampleConfig, estimate_bad_frequency
 from .series import (
+    ProbabilityTables,
+    Series,
+    SeriesBundle,
     WalkWeights,
-    bundle_to_json,
     dp_tables,
     generating_functions,
-    tables_to_json,
     verify_recurrences,
 )
-from .spectral import (
-    SpectralConfig,
-    estimate_z_inverse,
-    free_limit,
-    spectral_summary,
-    write_spectral_csv,
-)
+from .spectral import NormEstimate, SpectralConfig, estimate_z_inverse, free_limit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -156,6 +151,104 @@ class _Manifest:
         print(f"wrote {path}")
 
 
+# -- output formats -----------------------------------------------------------
+# The exact subcommands promise byte-identical files, so every spelling of a
+# number in an output is decided here.
+
+
+def _table(header: str, rows, sep: str = ",") -> str:
+    """The header line, then one line per row; floats get 12 significant digits."""
+    lines = [header]
+    for row in rows:
+        lines.append(sep.join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json(body: dict) -> str:
+    return json.dumps(body, indent=2) + "\n"
+
+
+def _exact(value):
+    """JSON form of exact results: a Fraction as "p/q", a Series as its
+    coefficients, a per-generator map as f<i>g<j> keys in generator order."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Series):
+        return _exact(value.coeffs)
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    if isinstance(value, dict):
+        if all(isinstance(k, tuple) for k in value):
+            return {f"f{i + 1}g{j + 1}": _exact(v) for (i, j), v in sorted(value.items())}
+        return {k: _exact(v) for k, v in value.items()}
+    return value
+
+
+def write_census_csv(census: BadStringCensus) -> str:
+    """census.csv: `length, total_valid, bad, kernels, frequency` rows."""
+    rows = []
+    for length in census.lengths():
+        e = census.entries[length]
+        rows.append((length, e.total_valid, e.bad, e.kernels, float(e.frequency)))
+    return _table("length,total_valid,bad,kernels,frequency", rows)
+
+
+def write_curve_csv(rows) -> str:
+    """curve_points.csv from the rows of bounds.curve_points."""
+    return _table("s,a,z_lower,z_upper,z_free_formula", rows)
+
+
+def write_spectral_csv(estimate: NormEstimate) -> str:
+    """spectral.csv: one row per trial."""
+    cfg = estimate.config
+    rows = [
+        (cfg.s, cfg.N, cfg.a, trial, norm, steps, int(ok), f"{residual:.3g}")
+        for trial, (norm, steps, ok, residual) in enumerate(
+            zip(estimate.norms, estimate.iterations, estimate.converged, estimate.residuals)
+        )
+    ]
+    return _table("s,N,a,trial,norm,iterations,converged,residual", rows)
+
+
+def spectral_summary(estimate: NormEstimate) -> dict:
+    cfg = estimate.config
+    return {
+        "s": cfg.s,
+        "N": cfg.N,
+        "a": cfg.a,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "mean": estimate.mean,
+        "std": estimate.std,
+        "all_converged": estimate.all_converged,
+        "free_limit": free_limit(cfg.s, cfg.a),
+    }
+
+
+def tables_to_json(tables: ProbabilityTables) -> dict:
+    """JSON-ready dict of every table, rationals spelled as "p/q" strings."""
+    return _exact(
+        {
+            "signature": str(tables.signature),
+            "n_max": tables.n_max,
+            "weights": {"alpha0": tables.weights.alpha0, "alpha": tables.weights.alpha},
+            "even_returns": tables.even_returns,
+            "lagged_returns": tables.lagged_returns,
+            "excursion_returns": tables.excursion_returns,
+            "detour_returns": tables.detour_returns,
+            "avoiding_even_returns": tables.avoiding_even_returns,
+            "avoiding_odd_returns": tables.avoiding_odd_returns,
+            "layer_mass": tables.layer_mass,
+        }
+    )
+
+
+def bundle_to_json(bundle: SeriesBundle) -> dict:
+    """JSON-ready dict of the generating-function coefficients and residuals:
+    every field of the bundle, in declaration order."""
+    return _exact(vars(bundle))
+
+
 def _signature(text: str) -> GroupSignature:
     try:
         return parse_signature(text)
@@ -168,16 +261,17 @@ def _signature(text: str) -> GroupSignature:
 def _cmd_census(args, manifest: _Manifest) -> int:
     sig = args.group
     lengths = range(2, args.max_length + 1, 2)
-    census = take_census(sig, lengths, budget=args.budget)
+    try:
+        census = take_census(sig, lengths, budget=args.budget)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
     print(f"group {sig}, lengths {lengths.start}..{args.max_length}")
     print(f"{'length':>6} {'valid':>14} {'bad':>8} {'kernels':>8} {'frequency':>12}")
     for length in census.lengths():
         e = census.entries[length]
         freq = float(e.frequency)
         print(f"{length:>6} {e.total_valid:>14} {e.bad:>8} {e.kernels:>8} {freq:>12.3e}")
-    buf = io.StringIO()
-    write_census_csv(census, buf)
-    manifest.add("census.csv", buf.getvalue())
+    manifest.add("census.csv", write_census_csv(census))
     return EXIT_OK
 
 
@@ -196,15 +290,14 @@ def _cmd_sample(args, manifest: _Manifest) -> int:
     ]
     print(f"group {sig}, {args.samples} samples per length, seed {args.seed}")
     print(f"{'length':>6} {'bad':>8} {'freq':>12} {'wilson95':>28}")
-    buf = io.StringIO()
-    buf.write("length,samples,bad,freq,wilson_lo,wilson_hi\n")
+    rows = []
     for report in reports:
         length, bad = report.config.length, report.bad_count
         freq = float(report.frequency)
         lo, hi = report.wilson_interval_95
         print(f"{length:>6} {bad:>8} {freq:>12.3e} [{lo:.3e}, {hi:.3e}]")
-        buf.write(f"{length},{args.samples},{bad},{freq:.12g},{lo:.12g},{hi:.12g}\n")
-    manifest.add("sample.csv", buf.getvalue())
+        rows.append((length, args.samples, bad, freq, lo, hi))
+    manifest.add("sample.csv", _table("length,samples,bad,freq,wilson_lo,wilson_hi", rows))
     return EXIT_OK
 
 
@@ -235,7 +328,7 @@ def _cmd_verify_series(args, manifest: _Manifest) -> int:
         "series": bundle_to_json(bundle),
         "recurrence_residuals": {k: str(v) for k, v in residuals.items()},
     }
-    manifest.add("series_tables.json", json.dumps(payload, indent=2) + "\n")
+    manifest.add("series_tables.json", _json(payload))
     return EXIT_OK
 
 
@@ -260,9 +353,7 @@ def _cmd_bounds(args, manifest: _Manifest) -> int:
     print(f"r_lower = {report.r_lower:.10g}  (decay-corrected)")
     print(f"r_upper = {report.r_upper:.10g}  (trivially-decaying ideal, theta={report.theta:.6g})")
     print(f"gap = {report.gap:.4g} absolute, {report.relative_gap:.4g} relative")
-    buf = io.StringIO()
-    write_curve_csv(curve_points(args.s_range, d_bound=args.d_bound), buf)
-    manifest.add("curve_points.csv", buf.getvalue())
+    manifest.add("curve_points.csv", write_curve_csv(curve_points(args.s_range, args.d_bound)))
     return EXIT_OK
 
 
@@ -288,12 +379,8 @@ def _cmd_spectral(args, manifest: _Manifest) -> int:
         f"mean = {estimate.mean:.6f}  std = {estimate.std:.3e}  "
         f"free limit = {free_limit(args.s, args.a):.6f}"
     )
-    buf = io.StringIO()
-    write_spectral_csv(estimate, buf)
-    manifest.add("spectral.csv", buf.getvalue())
-    manifest.add(
-        "spectral_summary.json", json.dumps(spectral_summary(estimate), indent=2) + "\n"
-    )
+    manifest.add("spectral.csv", write_spectral_csv(estimate))
+    manifest.add("spectral_summary.json", _json(spectral_summary(estimate)))
     if not estimate.all_converged:
         print("warning: some trials did not converge", file=sys.stderr)
         return EXIT_BUDGET
@@ -307,27 +394,25 @@ def _cmd_figure(args, manifest: _Manifest) -> int:
 
     # bound curves: the a=1 prediction, its reciprocal display, and the
     # decay-corrected discriminant point, per generator count
-    lines = ["# s  z_inv_free_a1  y_reciprocal  z_inv_disc_a1"]
+    rows = []
     for s in args.s_range:
         z_free = free_radius(s, 1.0)
-        problem = RadiusProblem(s=s, a=1.0, d_bound=args.d_bound)
-        z_disc = radius_from_discriminant(problem)
-        lines.append(
-            f"{s} {1.0 / z_free:.12g} {z_free:.12g} {1.0 / z_disc:.12g}"
-        )
-    manifest.add("figure_bounds.dat", "\n".join(lines) + "\n")
+        z_disc = radius_from_discriminant(RadiusProblem(s=s, a=1.0, d_bound=args.d_bound))
+        rows.append((s, 1.0 / z_free, z_free, 1.0 / z_disc))
+    header = "# s  z_inv_free_a1  y_reciprocal  z_inv_disc_a1"
+    manifest.add("figure_bounds.dat", _table(header, rows, " "))
 
-    lines = ["# s  N  trials  mean_norm  std"]
+    rows = []
     for s in args.s_range:
         est = estimate_z_inverse(
             _config(SpectralConfig, s=s, N=args.N, a=1.0, trials=args.trials, seed=args.seed)
         )
-        lines.append(f"{s} {args.N} {args.trials} {est.mean:.12g} {est.std:.12g}")
-    manifest.add("figure_spectral.dat", "\n".join(lines) + "\n")
+        rows.append((s, args.N, args.trials, est.mean, est.std))
+    manifest.add("figure_spectral.dat", _table("# s  N  trials  mean_norm  std", rows, " "))
 
     sig = parse_signature("F2xF2")
     census = take_census(sig, range(2, args.max_length + 1, 2))
-    lines = ["# length  exact_freq  sampled_freq  wilson_lo  wilson_hi"]
+    rows = []
     for length in census.lengths():
         exact = float(census.entries[length].frequency)
         config = _config(
@@ -335,10 +420,9 @@ def _cmd_figure(args, manifest: _Manifest) -> int:
         )
         report = estimate_bad_frequency(config)
         lo, hi = report.wilson_interval_95
-        lines.append(
-            f"{length} {exact:.12g} {float(report.frequency):.12g} {lo:.12g} {hi:.12g}"
-        )
-    manifest.add("figure_decay.dat", "\n".join(lines) + "\n")
+        rows.append((length, exact, float(report.frequency), lo, hi))
+    header = "# length  exact_freq  sampled_freq  wilson_lo  wilson_hi"
+    manifest.add("figure_decay.dat", _table(header, rows, " "))
     return EXIT_OK
 
 

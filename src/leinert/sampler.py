@@ -196,8 +196,6 @@ def estimate_decay_rate(
     lengths,
     samples_per_length: int,
     seed: int,
-    model: StringModel = StringModel.VALID,
-    tests: tuple[TestKind, ...] = DEFAULT_TESTS,
 ) -> GrowthEstimate:
     """Fit the exponential decay of estimated frequencies against n = length/2.
 
@@ -207,6 +205,6 @@ def estimate_decay_rate(
     lengths = list(lengths)
     freqs = []
     for length in lengths:
-        config = SampleConfig(signature, length, samples_per_length, seed, model, tests)
+        config = SampleConfig(signature, length, samples_per_length, seed)
         freqs.append(float(estimate_bad_frequency(config).frequency))
     return GrowthEstimate.fit(lengths, freqs)

@@ -507,66 +507,3 @@ def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
             "excursion_split": worst_split,
         },
     )
-
-
-# -- regression-fixture dumps -------------------------------------------------
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _gen_label(gen: tuple[int, int]) -> str:
-    i, j = gen
-    return f"f{i + 1}g{j + 1}"
-
-
-def tables_to_json(tables: ProbabilityTables) -> dict:
-    """JSON-ready dict of every table, rationals spelled as "p/q" strings."""
-
-    def per_gen(table_map):
-        return {
-            _gen_label(g): [_frac(c) for c in table]
-            for g, table in sorted(table_map.items())
-        }
-
-    return {
-        "signature": str(tables.signature),
-        "n_max": tables.n_max,
-        "weights": {
-            "alpha0": _frac(tables.weights.alpha0),
-            "alpha": {
-                _gen_label(g): _frac(a)
-                for g, a in sorted(tables.weights.alpha.items())
-            },
-        },
-        "even_returns": [_frac(c) for c in tables.even_returns],
-        "lagged_returns": [_frac(c) for c in tables.lagged_returns],
-        "excursion_returns": per_gen(tables.excursion_returns),
-        "detour_returns": per_gen(tables.detour_returns),
-        "avoiding_even_returns": per_gen(tables.avoiding_even_returns),
-        "avoiding_odd_returns": per_gen(tables.avoiding_odd_returns),
-        "layer_mass": [_frac(c) for c in tables.layer_mass],
-    }
-
-
-def bundle_to_json(bundle: SeriesBundle) -> dict:
-    """JSON-ready dict of the generating-function coefficients and residuals."""
-
-    def coeffs(series: Series):
-        return [_frac(c) for c in series.coeffs]
-
-    return {
-        "returns_gf": coeffs(bundle.returns_gf),
-        "lagged_gf": coeffs(bundle.lagged_gf),
-        "excursion_gf": {_gen_label(g): coeffs(s) for g, s in sorted(bundle.excursion_gf.items())},
-        "excursion_total_gf": coeffs(bundle.excursion_total_gf),
-        "avoiding_even_gf": {
-            _gen_label(g): coeffs(s) for g, s in sorted(bundle.avoiding_even_gf.items())
-        },
-        "avoiding_odd_gf": {
-            _gen_label(g): coeffs(s) for g, s in sorted(bundle.avoiding_odd_gf.items())
-        },
-        "detour_gf": {_gen_label(g): coeffs(s) for g, s in sorted(bundle.detour_gf.items())},
-        "lazy_gf": coeffs(bundle.lazy_gf),
-        "residuals": {k: _frac(v) for k, v in bundle.residuals.items()},
-    }

@@ -52,6 +52,8 @@ class SpectralConfig:
             raise ValueError("N must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -261,29 +263,3 @@ def free_limit(s: int, a: float = 1.0) -> float:
     circle; at finite N the norm a max |lambda_i + mu_j| falls short of it.
     """
     return 2.0 * a * math.sqrt(2.0 * s - 1.0)
-
-
-def write_spectral_csv(estimate: NormEstimate, stream) -> None:
-    cfg = estimate.config
-    stream.write("s,N,a,trial,norm,iterations,converged,residual\n")
-    for trial, (norm, it, ok, res) in enumerate(
-        zip(estimate.norms, estimate.iterations, estimate.converged, estimate.residuals)
-    ):
-        stream.write(
-            f"{cfg.s},{cfg.N},{cfg.a:.12g},{trial},{norm:.12g},{it},{int(ok)},{res:.3g}\n"
-        )
-
-
-def spectral_summary(estimate: NormEstimate) -> dict:
-    cfg = estimate.config
-    return {
-        "s": cfg.s,
-        "N": cfg.N,
-        "a": cfg.a,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "mean": estimate.mean,
-        "std": estimate.std,
-        "all_converged": estimate.all_converged,
-        "free_limit": free_limit(cfg.s, cfg.a),
-    }

@@ -8,8 +8,10 @@
   unfactored cubic in w = z^2, with a Newton polish that discards the root
   that clearing denominators adds, where `discriminant_roots` solves the two
   factor cubics.
+- `d_closed_form` gives both decay values at which the discriminant
+  vanishes, the two signs `discriminant_roots` turns into its two cubics.
 
-All three were once part of `leinert.bounds`.  The vertical-tangent solve
+All four were once part of `leinert.bounds`.  The vertical-tangent solve
 there fell back to `woess_radius` whenever it failed, so it could never
 disagree with the value it was checked against.  Here a failure raises, and
 the tests compare the two only where this solve converges on its own: the
@@ -123,6 +125,16 @@ def fixed_point_G(z: float, problem: RadiusProblem, tol: float = 1e-12,
                 return g
         step = new_step
     raise ConvergenceError("fixed point did not settle")
+
+
+def d_closed_form(z: float, s: int, a: float) -> tuple[float, float]:
+    """Both branch values (1 ± 2 a z sqrt(2s-1)) / (2s-1).
+
+    The sign cannot be fixed from the quadratic alone, so both are
+    reported; each satisfies 4a²(1-2s)z² + ((2s-1)D - 1)² = 0.
+    """
+    root = 2.0 * a * z * math.sqrt(2.0 * s - 1.0)
+    return (1.0 + root) / (2.0 * s - 1.0), (1.0 - root) / (2.0 * s - 1.0)
 
 
 def _discriminant_at(z: float, problem: RadiusProblem) -> float:

@@ -14,7 +14,6 @@ from leinert import (
     RadiusProblem,
     bound_report,
     curve_points,
-    d_closed_form,
     discriminant_roots,
     eval_P,
     eval_P_prime,
@@ -29,6 +28,7 @@ from leinert import (
 from leinert import bounds
 from leinert.bounds import eval_P_second, g_pole
 from reference_radius import (
+    d_closed_form,
     fixed_point_G,
     radius_from_vertical_tangent,
     w_cubic_discriminant_roots,

@@ -55,6 +55,15 @@ class TestExitCodes:
             ),
             (["radius", "--s", "2", "--a", "-1"], "error: a must be positive"),
             (["spectral", "--s", "2", "--N", "1", "--seed", "1"], "error: N must be >= 2"),
+            *(
+                (
+                    ["spectral", "--s", "2", "--seed", "1", "--tol", tol],
+                    "error: tol must be a positive finite number",
+                )
+                for tol in ("0", "-1", "nan")
+            ),
+            (["census", "--group", "F1"], "error: valid strings need at least two generators"),
+            (["census", "--group", "Z1"], "error: valid strings need at least two generators"),
         ],
     )
     def test_bad_config_is_usage_error(self, argv, message, capsys):
@@ -168,6 +177,94 @@ class TestCensus:
         out = tmp_path / "c"
         assert run(["census", "--group", "Z3", "--max-length", "4", "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.2
+
+
+class TestPinnedOutputs:
+    # sha256 of the exact and deterministic outputs.  The census and series
+    # digests are those the benchmark pins in perfbench/jobs.py.  spectral.csv
+    # and figure_spectral.dat are left out: their float digits depend on BLAS.
+    FIGURE = [
+        "figure", "--s-range", "2:5", "--N", "10", "--trials", "1", "--samples", "2000",
+        "--max-length", "10", "--seed", "1", "--d-bound", "R=3",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, name, sha256",
+        [
+            (
+                ["census", "--group", "F2xF2", "--max-length", "16"],
+                "census.csv",
+                "7147d78f4a58ad880fa34d29fded8e37c8441d7e491b13511174b82cb88c256a",
+            ),
+            (
+                ["census", "--group", "F2xF2xF2", "--max-length", "10"],
+                "census.csv",
+                "60ae10337a2b2dd4ae9579105c3cc8312f1b4bda3baa3fc5a8234923bb48ac32",
+            ),
+            (
+                ["census", "--group", "F2xF3", "--max-length", "12"],
+                "census.csv",
+                "09174613b1679ef58ea2903d8336eb2838fd0dc7e83b22cb7fde0874e7495642",
+            ),
+            (
+                ["census", "--group", "Z3", "--max-length", "12"],
+                "census.csv",
+                "e04bfcbf8e5b3a0709babcde2fb758733e03ccd85aa140aa914c49e0e68d4036",
+            ),
+            (
+                ["census", "--group", "F1xF3", "--max-length", "16"],
+                "census.csv",
+                "45680987f124ea2776b0b6a12045164088aa0f7fa38c29ba4155859cb3987eac",
+            ),
+            (
+                ["verify-series", "--group", "F2xF2", "--n-max", "5", "--alpha0", "0", "--a", "1/8"],
+                "series_tables.json",
+                "3bd91a796196336b5c669b009f2143785e90951d50509e862f5984bb50fab55e",
+            ),
+            (
+                ["verify-series", "--group", "F2xF2", "--n-max", "5", "--alpha0", "1/9", "--a", "1/9"],
+                "series_tables.json",
+                "6d746e54b5269b487840c51dba574cb046e0a705617651c3a07acf5c09ffb15c",
+            ),
+            (
+                ["verify-series", "--group", "F1xF1", "--n-max", "6", "--alpha0", "0", "--a", "1/4"],
+                "series_tables.json",
+                "13bf3d11d023b2b9d109e90ceb221175a0006134387b1f0712871fad702cfa55",
+            ),
+            (
+                ["bounds", "--s", "2", "--a", "0.25", "--d-bound", "R=2", "--s-range", "2:8"],
+                "curve_points.csv",
+                "6c9bd6b883a2a5c45abd04e58776774a242ced7210429e20d860ba3e28df3d51",
+            ),
+            (
+                FIGURE,
+                "figure_bounds.dat",
+                "f85612b6bcf7f77001aadc92924e6df939d4b137dca693c2644db46c6f671595",
+            ),
+            (
+                FIGURE,
+                "figure_decay.dat",
+                "747285e25cbdac2ae375f6b8c20180c8a126ae86fa1e68ffe7140f70de6a7bd2",
+            ),
+        ],
+        ids=[
+            "census-F2xF2-16",
+            "census-F2xF2xF2-10",
+            "census-F2xF3-12",
+            "census-Z3-12",
+            "census-F1xF3-16",
+            "series-F2xF2-a0",
+            "series-F2xF2-lazy",
+            "series-F1xF1",
+            "bounds-s2",
+            "figure-bounds",
+            "figure-decay",
+        ],
+    )
+    def test_pinned_bytes(self, argv, name, sha256, tmp_path):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert digest(out / name) == sha256
 
 
 class TestSample:

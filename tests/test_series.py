@@ -23,8 +23,8 @@ from leinert import (
     parse_signature,
     verify_recurrences,
 )
+from leinert.cli import bundle_to_json, tables_to_json
 from leinert.groups import GroupSignature, Letter, Word
-from leinert.series import bundle_to_json, tables_to_json
 from reference_dp import reference_dp_tables
 from reference_series import verify_recurrences as reference_verify_recurrences
 

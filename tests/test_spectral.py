@@ -1,6 +1,5 @@
 """Haar unitaries and the tensor-sum norm estimator."""
 
-import io
 import math
 import time
 
@@ -21,7 +20,7 @@ from leinert import (
     two_norm,
 )
 from leinert import spectral
-from leinert.spectral import spectral_summary, write_spectral_csv
+from leinert.cli import spectral_summary, write_spectral_csv
 
 
 def haar_tuple(count, N, gen):
@@ -246,9 +245,7 @@ class TestEstimate:
 
     def test_csv_has_residual_column(self):
         est = estimate_z_inverse(SpectralConfig(s=2, N=10, trials=2, seed=3))
-        buf = io.StringIO()
-        write_spectral_csv(est, buf)
-        header, *rows = buf.getvalue().splitlines()
+        header, *rows = write_spectral_csv(est).splitlines()
         assert header == "s,N,a,trial,norm,iterations,converged,residual"
         assert [float(r.split(",")[-1]) for r in rows] == pytest.approx(est.residuals, rel=1e-2)
         assert all(0 < r <= 1e-6 for r in est.residuals)
@@ -269,3 +266,7 @@ class TestEstimate:
             SpectralConfig(s=0, N=10)
         with pytest.raises(ValueError):
             SpectralConfig(s=1, N=1)
+        # tol <= 0 or nan would never stop a trial, tol = inf would stop it at once
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be a positive finite number"):
+                SpectralConfig(s=2, N=10, tol=tol)
