@@ -13,18 +13,13 @@ import math
 
 import numpy as np
 
-from leinert import (
-    SpectralConfig,
-    TensorOperands,
-    estimate_z_inverse,
-    free_limit,
-    two_norm,
-)
+from leinert import SpectralConfig, estimate_z_inverse, free_limit, two_norm
 
-# identity operands first: T = 2a * I exactly, a do-nothing control; every
-# vector is an eigenvector, so Lanczos breaks down after one step
-eye = (np.eye(16, dtype=complex),)
-control = two_norm(TensorOperands(0.5, eye, eye), tol=1e-12)
+# identity operands first: A = B = a * I makes T = 2a * I exactly, a
+# do-nothing control; every vector is an eigenvector, so Lanczos breaks
+# down after one step
+eye = 0.5 * np.eye(16, dtype=complex)
+control = two_norm(eye, eye, tol=1e-12)
 print(f"identity control: norm = {control.norm:.12f} (exactly 2a = 1),"
       f" {control.steps} Lanczos step(s)")
 

@@ -88,7 +88,6 @@ from .series import (
 from .spectral import (
     NormEstimate,
     SpectralConfig,
-    TensorOperands,
     apply_T,
     estimate_z_inverse,
     free_limit,

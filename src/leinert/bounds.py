@@ -54,6 +54,9 @@ class DBound:
     def __post_init__(self):
         if self.kind is not DKind.ZERO and self.parameter <= 0:
             raise ValueError("rate/radius parameter must be positive")
+        # nan, inf, a rate of inf (radius 0) and one whose 1/c overflows
+        if self.kind is not DKind.ZERO and not 0 < self.radius < math.inf:
+            raise ValueError(f"decay radius {self.radius} is not a positive finite number")
 
     @classmethod
     def zero(cls) -> "DBound":
@@ -98,6 +101,8 @@ class RadiusProblem:
             raise ValueError("s must be >= 1")
         if self.a <= 0:
             raise ValueError("a must be positive")
+        if not math.isfinite(self.a):
+            raise ValueError("a must be finite")
 
     @property
     def uniform_weights(self) -> tuple[float, ...]:
@@ -249,7 +254,11 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
         sign*c z^3 + 2s z^2 - sign*c R^2 z - R^2 = 0
     without adding a root in (0, R).  Each cubic has exactly one root there:
     the minus sign gives the lower crossing, the plus sign the upper one,
-    and no real G branch exists between them.
+    and no real G branch exists between them.  A root is kept only if it
+    still lies in (0, R) after rounding, so past R of about 1e16 the upper
+    root, which rounds to R, drops out.  At an extreme R the float
+    coefficients overflow or lose their R^2 terms; a solve that then finds
+    no lower root raises ConvergenceError.
     """
     s, a = problem.s, problem.a
     if problem.d_bound.kind is DKind.ZERO:
@@ -260,12 +269,21 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     roots = []
     for sign in (-1, 1):
         k3, k2, k1, k0 = sign * c, 2 * s, -sign * c * R2, -R2
-        for z in np.roots([float(k) for k in (k3, k2, k1, k0)]):
+        try:
+            with np.errstate(all="raise"):
+                candidates = np.roots([float(k) for k in (k3, k2, k1, k0)])
+        except ArithmeticError:  # a coefficient or their ratio overflows
+            candidates = []
+        for z in candidates:
             if abs(z.imag) <= 1e-9 * max(1.0, abs(z.real)) and 0 < z.real < R:
                 # one Newton step in exact arithmetic rounds the root correctly
                 z = Fraction(z.real)
                 f = ((k3 * z + k2) * z + k1) * z + k0
-                roots.append(float(z - f / ((3 * k3 * z + 2 * k2) * z + k1)))
+                z = float(z - f / ((3 * k3 * z + 2 * k2) * z + k1))
+                if 0 < z < R:
+                    roots.append(z)
+        if not roots:
+            raise ConvergenceError(f"no discriminant root found in (0, R) for R = {R}")
     return sorted(roots)
 
 

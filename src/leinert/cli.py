@@ -54,10 +54,13 @@ EXIT_BUDGET = 3
 def _parse_d_bound(text: str) -> DBound:
     if text == "zero":
         return DBound.zero()
-    if text.startswith("c="):
-        return DBound.geometric_rate(float(text[2:]))
-    if text.startswith("R="):
-        return DBound.radius_form(float(text[2:]))
+    try:
+        if text.startswith("c="):
+            return DBound.geometric_rate(float(text[2:]))
+        if text.startswith("R="):
+            return DBound.radius_form(float(text[2:]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad d-bound {text!r}: {exc}") from None
     raise argparse.ArgumentTypeError(
         f"bad d-bound {text!r}: expected zero, c=<float>, or R=<float>"
     )

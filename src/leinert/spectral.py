@@ -23,16 +23,17 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import rng
 
 # Lanczos steps per restart cycle.  It bounds the tridiagonal the stop test
-# diagonalizes, so a trial that never converges costs O(max_iters) matvecs
-# rather than O(max_iters^4) flops of eigh.
+# diagonalizes, so a trial that never converges costs O(MAX_ITERS) matvecs
+# rather than O(MAX_ITERS^4) flops of eigh.
 KRYLOV_DIM = 200
+# Products with T*T per trial, restart rebuilds included.
+MAX_ITERS = 5000
 
 
 @dataclass(frozen=True)
@@ -43,43 +44,18 @@ class SpectralConfig:
     trials: int = 4
     seed: int = 0
     tol: float = 1e-6
-    max_iters: int = 5000
 
     def __post_init__(self):
         if self.s < 1:
             raise ValueError("s must be >= 1")
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        if not 0 < self.a < math.inf:
+            raise ValueError("a must be a positive finite number")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be a positive finite number")
-
-
-@dataclass(frozen=True)
-class TensorOperands:
-    """The a-scaled two-leg operands: left factors U_i, right factors V_i."""
-
-    a: float
-    left: tuple[np.ndarray, ...]
-    right: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.left) != len(self.right):
-            raise ValueError("need as many left as right operands")
-        n = self.left[0].shape[0]
-        for m in self.left + self.right:
-            if m.shape != (n, n):
-                raise ValueError("operands must share a square shape")
-
-    @property
-    def dim(self) -> int:
-        return self.left[0].shape[0]
-
-    @cached_property
-    def collapsed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, B) = (a sum_i U_i, a sum_i V_i), so T = A (x) I + I (x) B."""
-        return self.a * sum(self.left), self.a * sum(self.right)
 
 
 def haar_unitary(N: int, gen: np.random.Generator) -> np.ndarray:
@@ -92,13 +68,12 @@ def haar_unitary(N: int, gen: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def apply_T(v: np.ndarray, operands: TensorOperands) -> np.ndarray:
-    """Row-major matrix-free product: (A (x) I)v = A M, (I (x) B)v = M B^T
-    for v reshaped to the N x N matrix M."""
-    n = operands.dim
+def apply_T(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-major matrix-free product with T = A (x) I + I (x) B:
+    (A (x) I)v = A M, (I (x) B)v = M B^T for v reshaped to the N x N matrix M."""
+    n = a.shape[0]
     if v.shape != (n * n,):
         raise ValueError(f"vector must have length {n * n}")
-    a, b = operands.collapsed
     m = v.reshape(n, n)
     return (a @ m + m @ b.T).reshape(-1)
 
@@ -147,34 +122,33 @@ def _top_ritz(alphas: list, betas: list) -> tuple[float, np.ndarray]:
 
 
 def two_norm(
-    operands: TensorOperands,
+    a: np.ndarray,
+    b: np.ndarray,
     tol: float = 1e-6,
-    max_iters: int = 5000,
     gen: np.random.Generator | None = None,
 ) -> TrialNorm:
-    """Largest singular value of T by restarted Lanczos on T*T.
+    """Largest singular value of T = A (x) I + I (x) B by restarted Lanczos
+    on T*T.
 
     Converged means beta_k |e_k^T y| <= tol * theta, which puts a singular
     value of T within tol * sqrt(theta) of the returned sqrt(theta).  The
-    test runs at steps 1..8 and then every k // 8 steps.  A cycle that reaches KRYLOV_DIM steps restarts
-    from its top Ritz vector, rebuilt by running the recurrence again; the
-    rebuild counts towards `steps`, which stops at max_iters.
+    test runs at steps 1..8 and then every k // 8 steps.  A cycle that
+    reaches KRYLOV_DIM steps restarts from its top Ritz vector, rebuilt by
+    running the recurrence again; the rebuild counts towards `steps`, which
+    stops at MAX_ITERS.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     gen = gen or np.random.default_rng(0)
-    n = operands.dim
-    a, b = operands.collapsed
+    n = a.shape[0]
     a_adj, b_conj = a.conj().T, b.conj()
 
     def normal(v):  # T*T v, with T* = A^H (x) I + I (x) B^H
-        t = apply_T(v, operands).reshape(n, n)
+        t = apply_T(v, a, b).reshape(n, n)
         return (a_adj @ t + t @ b_conj).reshape(-1)
 
     start = rng.standard_complex_normal(gen, n * n)
     steps = 0
     while True:
-        cycle = min(KRYLOV_DIM, max_iters - steps)
+        cycle = min(KRYLOV_DIM, MAX_ITERS - steps)
         alphas, betas, check = [], [], 1
         for _, alpha, beta in _lanczos(normal, start, cycle):
             alphas.append(alpha)
@@ -188,7 +162,7 @@ def two_norm(
                 check = k + max(1, k // 8)
         steps += k
         converged = bool(bound <= tol * theta)
-        if converged or steps + k >= max_iters:
+        if converged or steps + k >= MAX_ITERS:
             residual = bound / theta if theta else 0.0
             return TrialNorm(math.sqrt(max(theta, 0.0)), steps, converged, residual)
         start = sum(yj * q for yj, (q, _, _) in zip(y, _lanczos(normal, start, k)))
@@ -238,10 +212,8 @@ def estimate_z_inverse(config: SpectralConfig) -> NormEstimate:
             sigma = config.a * float(np.abs(lam[:, None] + mu).max())
             result = TrialNorm(sigma, 0, True, 0.0)
         else:
-            operands = TensorOperands(a=config.a, left=left, right=right)
-            result = two_norm(
-                operands, tol=config.tol, max_iters=config.max_iters, gen=gen
-            )
+            a, b = config.a * sum(left), config.a * sum(right)
+            result = two_norm(a, b, tol=config.tol, gen=gen)
         if result.norm > ceiling * (1.0 + 1e-9):
             raise RuntimeError(
                 f"trial {trial}: norm {result.norm} exceeds the ceiling {ceiling}"

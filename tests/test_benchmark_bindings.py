@@ -17,7 +17,8 @@ import leinert
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the bindings of perfbench/passrun.py: tracing.install, the probes'
-# imports, and each job's argv parsed as the probes parse it
+# imports, and each job's argv parsed as the probes parse it; then one
+# spectral estimate through the installed wrappers
 SCRIPT = """
 import sys
 from pathlib import Path
@@ -27,10 +28,17 @@ import jobs
 import tracing
 import leinert.cli as cli
 
-tracing.install(tracing.Tracer())
+tracer = tracing.Tracer()
+tracing.install(tracer)
 from leinert.census import iter_bad_strings
 from leinert.sampler import SampleConfig, TestKind, estimate_bad_frequency
 from leinert.series import WalkWeights, dp_tables
+from leinert.spectral import SpectralConfig
+
+# one trial through the wrapped haar_unitary and two_norm, whose arguments
+# the wrappers pass on as they come
+cli.estimate_z_inverse(SpectralConfig(s=2, N=4, trials=1, seed=0))
+print("spans", *sorted({span[tracing.NAME] for span in tracer.spans}))
 
 for workload in jobs.WORKLOADS.values():
     for job in workload:
@@ -59,4 +67,7 @@ def test_traced_pass_bindings_resolve():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "bound estimate_bad_frequency"
+    assert proc.stdout.splitlines() == [
+        "spans spectral.estimate_z_inverse spectral.haar_unitary spectral.two_norm",
+        "bound estimate_bad_frequency",
+    ]

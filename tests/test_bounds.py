@@ -1,6 +1,7 @@
 """Radius bounds: minimization side, discriminant side, closed forms."""
 
 import math
+import re
 from decimal import Decimal
 
 import pytest
@@ -62,6 +63,30 @@ class TestDBound:
         r = DBound.radius_form(4.0)
         for t in (0.5, 1.0, 3.0):
             assert g.value(t) == pytest.approx(r.value(t))
+
+    @pytest.mark.parametrize(
+        "make, parameter",
+        [
+            (DBound.radius_form, math.nan),
+            (DBound.radius_form, math.inf),
+            (DBound.geometric_rate, math.nan),
+            (DBound.geometric_rate, math.inf),  # radius 0
+            (DBound.geometric_rate, 1e-320),  # 1/c overflows to inf
+        ],
+    )
+    def test_radius_must_be_positive_finite(self, make, parameter):
+        with pytest.raises(ValueError, match="is not a positive finite number"):
+            make(parameter)
+
+
+class TestRadiusProblem:
+    def test_a_must_be_positive_and_finite(self):
+        for a in (0.0, -1.0):
+            with pytest.raises(ValueError, match="a must be positive"):
+                RadiusProblem(s=2, a=a, d_bound=DBound.zero())
+        for a in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="a must be finite"):
+                RadiusProblem(s=2, a=a, d_bound=DBound.zero())
 
 
 class TestPFunction:
@@ -376,6 +401,20 @@ class TestDiscriminant:
         ]
         assert radii == sorted(radii)
         assert radii[-1] < free_radius(2, 0.25)
+
+    @pytest.mark.parametrize("s, R", [(2, 1e-200), (2, 1e-300), (1, 1e34), (2, 1e300)])
+    def test_extreme_radius_refuses(self, s, R):
+        # the R^2 coefficients underflow (small R) or overflow (R = 1e300);
+        # at R = 1e34 the solve loses the lower root and finds one that
+        # rounds to R itself, which used to come back as the radius
+        problem = RadiusProblem(s=s, a=1.0, d_bound=DBound.radius_form(R))
+        with pytest.raises(ConvergenceError, match=re.escape(f"for R = {R}")):
+            discriminant_roots(problem)
+
+    def test_upper_root_that_rounds_to_R_drops_out(self):
+        # the upper root is about R - 0.43, which rounds to R at R = 1e20
+        problem = RadiusProblem(s=2, a=1.0, d_bound=DBound.radius_form(1e20))
+        assert discriminant_roots(problem) == pytest.approx([free_radius(2, 1.0)], rel=1e-12)
 
 
 class TestClosedFormInversion:

@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, outputs, manifests."""
 
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from leinert import cli
+from leinert import cli, spectral
 from leinert.bounds import ConvergenceError
 from leinert.cli import run
 
@@ -64,11 +63,43 @@ class TestExitCodes:
             ),
             (["census", "--group", "F1"], "error: valid strings need at least two generators"),
             (["census", "--group", "Z1"], "error: valid strings need at least two generators"),
+            *(
+                (
+                    ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", a],
+                    "error: a must be a positive finite number",
+                )
+                for a in ("-1", "nan")
+            ),
+            (["radius", "--s", "2", "--a", "nan"], "error: a must be finite"),
+            (["radius", "--s", "2", "--a", "inf"], "error: a must be finite"),
+            (["bounds", "--s", "2", "--a", "nan"], "error: a must be finite"),
         ],
     )
     def test_bad_config_is_usage_error(self, argv, message, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize(
+        "text, radius",
+        [("R=nan", "nan"), ("R=inf", "inf"), ("c=1e-320", "inf"), ("c=inf", "0.0")],
+    )
+    def test_bad_d_bound_is_usage_error(self, text, radius, capsys):
+        assert run(["radius", "--s", "2", "--a", "1", "--d-bound", text]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"argument --d-bound: bad d-bound {text!r}: "
+            f"decay radius {radius} is not a positive finite number"
+        )
+
+    @pytest.mark.parametrize("text", ["R=1e-200", "c=1e300", "R=1e300"])
+    def test_extreme_decay_radius_is_convergence_failure(self, text, capsys):
+        # the cubic coefficients under- or overflow a double
+        radius = float(text[2:]) if text[0] == "R" else 1 / float(text[2:])
+        assert run(["radius", "--s", "2", "--a", "1", "--d-bound", text]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"convergence failure: no discriminant root found in (0, R) for R = {radius}"
+        ]
 
     def test_empty_s_range_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b"
@@ -427,11 +458,7 @@ class TestSpectral:
         assert manifest["outputs"]["spectral.csv"] == digest(out / "spectral.csv")
 
     def test_unconverged_trials_write_then_exit_3(self, tmp_path, monkeypatch, capsys):
-        def starved(config):
-            return estimate(dataclasses.replace(config, max_iters=2))
-
-        estimate = cli.estimate_z_inverse
-        monkeypatch.setattr(cli, "estimate_z_inverse", starved)
+        monkeypatch.setattr(spectral, "MAX_ITERS", 2)
         out = tmp_path / "sp"
         argv = ["spectral", "--s", "2", "--N", "6", "--trials", "1", "--seed", "0"]
         assert run(argv + ["--out", str(out)]) == 3

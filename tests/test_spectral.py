@@ -11,7 +11,6 @@ import scipy.stats
 from leinert import (
     NormEstimate,
     SpectralConfig,
-    TensorOperands,
     apply_T,
     estimate_z_inverse,
     free_limit,
@@ -27,19 +26,22 @@ def haar_tuple(count, N, gen):
     return tuple(haar_unitary(N, gen) for _ in range(count))
 
 
-def dense_T(operands):
-    eye = np.eye(operands.dim)
-    return operands.a * sum(
-        np.kron(u, eye) + np.kron(eye, v) for u, v in zip(operands.left, operands.right)
-    )
+def haar_pair(s, N, gen, a=1.0):
+    # (A, B) = (a sum U_i, a sum V_i) with the U_i drawn before the V_i
+    left = haar_tuple(s, N, gen)
+    right = haar_tuple(s, N, gen)
+    return a * sum(left), a * sum(right)
 
 
-def trial_operands(config, trial):
-    # the operands estimate_z_inverse draws for one trial
+def dense_T(a, b):
+    eye = np.eye(a.shape[0])
+    return np.kron(a, eye) + np.kron(eye, b)
+
+
+def trial_pair(config, trial):
+    # the pair estimate_z_inverse forms for one trial
     gen = rng.philox(config.seed, 0x5EC7, trial)
-    left = haar_tuple(config.s, config.N, gen)
-    right = haar_tuple(config.s, config.N, gen)
-    return TensorOperands(config.a, left, right)
+    return haar_pair(config.s, config.N, gen, config.a)
 
 
 class TestHaar:
@@ -83,32 +85,25 @@ class TestApplyT:
         gen = rng.philox(1, 2)
         left = haar_tuple(s, N, gen)
         right = haar_tuple(s, N, gen)
-        operands = TensorOperands(a, left, right)
         eye = np.eye(N)
+        # the per-pair sum, so the collapse to (A, B) is checked too
         dense = a * sum(
             np.kron(u, eye) + np.kron(eye, v) for u, v in zip(left, right)
         )
         v = rng.standard_complex_normal(gen, N * N)
-        assert np.allclose(apply_T(v, operands), dense @ v, atol=1e-12)
+        assert np.allclose(apply_T(v, a * sum(left), a * sum(right)), dense @ v, atol=1e-12)
 
     def test_shape_guard(self):
-        operands = TensorOperands(1.0, haar_tuple(1, 3, rng.philox(0, 0)),
-                                  haar_tuple(1, 3, rng.philox(0, 1)))
+        u, v = haar_unitary(3, rng.philox(0, 0)), haar_unitary(3, rng.philox(0, 1))
         with pytest.raises(ValueError):
-            apply_T(np.zeros(5, dtype=complex), operands)
-
-    def test_mismatched_operands_rejected(self):
-        gen = rng.philox(2, 2)
-        with pytest.raises(ValueError):
-            TensorOperands(1.0, haar_tuple(2, 4, gen), haar_tuple(1, 4, gen))
+            apply_T(np.zeros(5, dtype=complex), u, v)
 
 
 class TestTwoNorm:
     def test_identity_control(self):
         # U = V = I makes T = 2a * identity, norm exactly 2a
-        eye = (np.eye(8, dtype=complex),)
-        operands = TensorOperands(0.5, eye, eye)
-        result = two_norm(operands, tol=1e-12)
+        eye = 0.5 * np.eye(8, dtype=complex)
+        result = two_norm(eye, eye, tol=1e-12)
         assert result.converged
         assert result.norm == pytest.approx(1.0, rel=1e-12)
 
@@ -117,20 +112,16 @@ class TestTwoNorm:
         gen = rng.philox(7, 8)
         left = haar_tuple(s, N, gen)
         right = haar_tuple(s, N, gen)
-        operands = TensorOperands(1.0, left, right)
-        eye = np.eye(N)
-        dense = sum(np.kron(u, eye) + np.kron(eye, v) for u, v in zip(left, right))
-        exact = float(np.linalg.svd(dense, compute_uv=False)[0])
-        result = two_norm(operands, tol=1e-10, gen=rng.philox(7, 9))
+        a, b = sum(left), sum(right)
+        exact = float(np.linalg.svd(dense_T(a, b), compute_uv=False)[0])
+        result = two_norm(a, b, tol=1e-10, gen=rng.philox(7, 9))
         assert result.converged
         assert result.norm == pytest.approx(exact, rel=1e-5)
 
     def test_norm_below_triangle_ceiling(self):
         gen = rng.philox(4, 4)
-        operands = TensorOperands(
-            1.0, haar_tuple(2, 20, gen), haar_tuple(2, 20, gen)
-        )
-        assert two_norm(operands, gen=rng.philox(4, 5)).norm <= 4.0 * (1 + 1e-9)
+        a, b = haar_pair(2, 20, gen)
+        assert two_norm(a, b, gen=rng.philox(4, 5)).norm <= 4.0 * (1 + 1e-9)
 
 
 class TestLanczos:
@@ -139,9 +130,9 @@ class TestLanczos:
     def test_within_residual_of_dense_norm(self, s, a):
         for N in (3, 8, 20):
             gen = rng.philox(N, s)
-            operands = TensorOperands(a, haar_tuple(s, N, gen), haar_tuple(s, N, gen))
-            exact = float(np.linalg.norm(dense_T(operands), 2))
-            result = two_norm(operands, gen=gen)
+            pair = haar_pair(s, N, gen, a)
+            exact = float(np.linalg.norm(dense_T(*pair), 2))
+            result = two_norm(*pair, gen=gen)
             assert result.converged and 0 < result.residual <= 1e-6
             assert abs(result.norm - exact) <= (result.residual + 1e-13) * exact
             # a Ritz value of T*T approaches the top of the spectrum from below
@@ -150,12 +141,11 @@ class TestLanczos:
     def test_s2_N75_against_eigsh(self):
         config = SpectralConfig(s=2, N=75, trials=1, seed=0)
         est = estimate_z_inverse(config)
-        operands = trial_operands(config, 0)
+        a, b = trial_pair(config, 0)
         n = config.N
 
         def normal(v):
-            t = apply_T(np.ravel(v), operands).reshape(n, n)
-            a, b = operands.collapsed
+            t = apply_T(np.ravel(v), a, b).reshape(n, n)
             return (a.conj().T @ t + t @ b.conj()).reshape(-1)
 
         op = scipy.sparse.linalg.LinearOperator((n * n, n * n), matvec=normal, dtype=complex)
@@ -165,43 +155,37 @@ class TestLanczos:
     def test_identity_control_breaks_down(self):
         # T = I: the start vector spans an invariant subspace, so beta_1 is
         # zero up to the rounding of alpha_1
-        eye = (np.eye(8, dtype=complex),)
-        result = two_norm(TensorOperands(0.5, eye, eye), gen=rng.philox(0, 3))
+        eye = 0.5 * np.eye(8, dtype=complex)
+        result = two_norm(eye, eye, gen=rng.philox(0, 3))
         assert (result.steps, result.converged) == (1, True)
         assert result.residual < 1e-15
         assert result.norm == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_operator_breaks_down(self):
         # T = 0 gives beta_1 = 0 exactly, with nothing left to normalize
-        gen = rng.philox(1, 3)
-        u, v = haar_unitary(5, gen), haar_unitary(5, gen)
-        result = two_norm(TensorOperands(1.0, (u, -u), (v, -v)))
+        zero = np.zeros((5, 5), dtype=complex)
+        result = two_norm(zero, zero)
         assert (result.norm, result.steps, result.converged) == (0.0, 1, True)
 
     def test_restarts_reach_the_dense_norm(self, monkeypatch):
         # cycles of 5 steps force several rebuilt restart vectors
         monkeypatch.setattr(spectral, "KRYLOV_DIM", 5)
         gen = rng.philox(2, 5)
-        operands = TensorOperands(1.0, haar_tuple(2, 6, gen), haar_tuple(2, 6, gen))
-        result = two_norm(operands, tol=1e-10, gen=gen)
+        pair = haar_pair(2, 6, gen)
+        result = two_norm(*pair, tol=1e-10, gen=gen)
         assert result.converged and result.steps > 5
-        exact = float(np.linalg.norm(dense_T(operands), 2))
+        exact = float(np.linalg.norm(dense_T(*pair), 2))
         assert result.norm == pytest.approx(exact, rel=1e-9)
 
     def test_clustered_s1_gives_up_in_bounded_time(self):
         # at s = 1 the top of T*T is a cluster of N^2 eigenvalues; a residual
-        # of 1e-12 is out of reach, and max_iters = 5000 must end the trial
+        # of 1e-12 is out of reach, and MAX_ITERS = 5000 must end the trial
         gen = rng.philox(0, 1)
-        operands = TensorOperands(1.0, haar_tuple(1, 40, gen), haar_tuple(1, 40, gen))
+        pair = haar_pair(1, 40, gen)
         started = time.perf_counter()
-        result = two_norm(operands, tol=1e-12, gen=gen)
+        result = two_norm(*pair, tol=1e-12, gen=gen)
         assert time.perf_counter() - started < 10.0
-        assert not result.converged and result.steps <= 5000
-
-    def test_max_iters_validated(self):
-        eye = (np.eye(2, dtype=complex),)
-        with pytest.raises(ValueError):
-            two_norm(TensorOperands(1.0, eye, eye), max_iters=0)
+        assert not result.converged and result.steps <= spectral.MAX_ITERS == 5000
 
 
 class TestEstimate:
@@ -239,7 +223,7 @@ class TestEstimate:
         est = estimate_z_inverse(config)
         assert est.iterations == (0, 0, 0) and est.residuals == (0.0, 0.0, 0.0)
         for trial, norm in enumerate(est.norms):
-            exact = float(np.linalg.norm(dense_T(trial_operands(config, trial)), 2))
+            exact = float(np.linalg.norm(dense_T(*trial_pair(config, trial)), 2))
             assert norm == pytest.approx(exact, rel=1e-12)
             assert norm < free_limit(1, 0.25)
 
@@ -270,3 +254,7 @@ class TestEstimate:
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be a positive finite number"):
                 SpectralConfig(s=2, N=10, tol=tol)
+        # a <= 0 fails the ceiling 2sa, nan fails the eigenvalue solver
+        for a in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="a must be a positive finite number"):
+                SpectralConfig(s=2, N=10, a=a)
