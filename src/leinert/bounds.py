@@ -103,6 +103,11 @@ class RadiusProblem:
             raise ValueError("a must be positive")
         if not math.isfinite(self.a):
             raise ValueError("a must be finite")
+        radius = free_radius(self.s, self.a)
+        if not 0 < radius < math.inf:
+            raise ValueError(
+                f"a = {self.a} is out of range: free radius {radius} is not a positive finite number"
+            )
 
     @property
     def uniform_weights(self) -> tuple[float, ...]:

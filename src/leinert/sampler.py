@@ -115,8 +115,14 @@ def _parity_weights(s, length):
 
 
 def _balanced(codes, weight):
-    """Which columns of a code array have every exponent sum zero."""
-    return (weight[codes].sum(axis=0) == 0).all(axis=-1)
+    """Which columns of a code array have every exponent sum zero.
+
+    One packed word at a time, so no (length, count, words) array is built.
+    """
+    ok = np.ones(codes.shape[1], dtype=bool)
+    for column in weight.T:
+        ok &= np.take(column, codes).sum(axis=0) == 0
+    return ok
 
 
 def estimate_bad_frequency(config: SampleConfig) -> SampleReport:

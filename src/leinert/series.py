@@ -39,6 +39,15 @@ hold at most horizon - m letters: the others cannot get home in time.
 layer_mass needs no classes.  Every class sends out the letter weight
 l = sum_i s_i rate_i, and the identity also alpha0, so
 mass_m = l mass_(m-1) + alpha0 returns_(m-1).
+
+The class weights are Python ints over one common denominator.  With q the
+lcm of the denominators of alpha0 and the factor rates, every step weight
+is an integer numerator over q, so a step multiplies and adds integers
+only, and after k steps a class weighs (start weight) / q^k times its
+numerator.  That one Fraction per step turns the classes the tables read
+(home, the opening letter) into exact weights; no other class is ever
+normalised.  In norm mode at a = 1, q is 1 and the numerators are path
+counts.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Mapping
 
 from .census import BudgetExceededError
@@ -160,9 +170,11 @@ def _letter(signature: GroupSignature, width: int, factor: int, sign: int) -> in
     return _class(width, codes, 1)
 
 
-def _walk(signature, rates, alpha0, width, dist, times, first_plain, mark=None, masked=None):
-    """Run the lumped walk from `dist` over the steps `times`, yielding the
-    class weights after each step; `masked` is dropped after each yield.
+def _walk(signature, rates, alpha0, width, start, weight, times, first_plain, mark=None, masked=None):
+    """Run the lumped walk from the class `start` of weight `weight` over
+    the steps `times`, yielding after each step the classes' integer
+    numerators and their common scale weight / q^k (k steps taken); `masked`
+    is dropped after each yield.
 
     Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
     `mark` = (factor, sign) keeps apart a first letter of that factor that
@@ -172,17 +184,20 @@ def _walk(signature, rates, alpha0, width, dist, times, first_plain, mark=None, 
     home by the last step.  MAX_STATES bounds the classes kept after this
     prune at each step.
     """
-    zero = Fraction(0)
+    q = lcm(alpha0.denominator, *(rate.denominator for rate in rates))
+    ints = [int(rate * q) for rate in rates]
+    lazy = int(alpha0 * q)
     ranks = signature.factors
     home = _class(width, [1] * len(ranks))
     low = (1 << width) - 1
     shifts = [1 + width * f for f in range(len(ranks))]
     marked = mark[0] if mark else None
     moves = {}
+    dist = {start: 1}
     for m in times:
         bit = int((m % 2 == 0) != first_plain)
         room = times[-1] - m
-        nxt: dict[int, Fraction] = {}
+        nxt: dict[int, int] = {}
         for state, wt in dist.items():
             codes = [state >> shift & low for shift in shifts]
             grows = sum(code.bit_length() for code in codes) - len(codes) < room
@@ -192,19 +207,20 @@ def _walk(signature, rates, alpha0, width, dist, times, first_plain, mark=None, 
                 if key not in moves:
                     split = mark == (f, 2 * bit - 1)
                     moves[key] = [
-                        ((child - code << shifts[f]) + flag - tracked, rates[f] * ways, child > code)
+                        ((child - code << shifts[f]) + flag - tracked, ints[f] * ways, child > code)
                         for child, flag, ways in _moves(code, bit, ranks[f], split, tracked)
-                        if rates[f] and ways
+                        if ints[f] and ways
                     ]
                 for delta, w, pushed in moves[key]:
                     if grows or not pushed:
                         ns = state + delta
-                        nxt[ns] = nxt.get(ns, zero) + wt * w
-        if alpha0 and dist.get(home):
-            nxt[home] = nxt.get(home, zero) + dist[home] * alpha0
+                        nxt[ns] = nxt.get(ns, 0) + wt * w
+        if lazy and dist.get(home):
+            nxt[home] = nxt.get(home, 0) + dist[home] * lazy
         if len(nxt) > MAX_STATES:
             raise BudgetExceededError(f"walk on {signature}, step {m}", len(nxt), MAX_STATES)
-        yield nxt
+        weight /= q
+        yield nxt, weight
         nxt.pop(masked, None)
         dist = nxt
 
@@ -228,20 +244,22 @@ def dp_tables(
     width = steps + 1
     walk = partial(_walk, signature, rates, alpha0, width)
     home = _class(width, [1] * signature.num_factors)
-    origin = {home: Fraction(1)}
+    one = Fraction(1)
+
+    def home_weights(*args):
+        """The weight at home after each step of a walk from home."""
+        return [scale * nums.get(home, 0) for nums, scale in walk(home, one, *args)]
 
     # Flipping every exponent is an automorphism fixing the identity, so the
     # plain-first walk returns exactly as often as the inverse-first one:
     # the lagged returns are the latter's odd-step returns.
-    returns = [Fraction(1)]
-    for dist in walk(origin, range(1, steps + 1), False):
-        returns.append(dist.get(home, zero))
+    returns = [one] + home_weights(range(1, steps + 1), False)
     even_returns = tuple(returns[0::2])
     lagged_returns = (zero,) + tuple(returns[1::2])
     # every class sends weight `letters` out by letter steps, and home also
     # alpha0 by the lazy loop
     letters = sum(rank * rate for rank, rate in zip(signature.factors, rates))
-    mass = [Fraction(1)]
+    mass = [one]
     for at_home in returns[:-1]:
         mass.append(letters * mass[-1] + alpha0 * at_home)
 
@@ -257,19 +275,19 @@ def dp_tables(
         a = rates[i0]
         opening = _letter(signature, width, i0, -1)
         first, detour, on_opening = [zero, zero], [zero, zero], a
-        for dist in walk({opening: a}, range(2, steps + 1), False, (i0, -1), home):
-            first.append(dist.get(home, zero))
+        for nums, scale in walk(opening, a, range(2, steps + 1), False, (i0, -1), home):
+            first.append(scale * nums.get(home, 0))
             detour.append(first[-1] - a * on_opening)
-            on_opening = dist.get(opening, zero)
+            on_opening = scale * nums.get(opening, 0)
         # the masked walks never stand on the tracked plain letter in between
         masked = _letter(signature, width, i0, 1)
         plain = (i0, 1)
-        even = [d.get(home, zero) for d in walk(origin, range(1, steps - 1), True, plain, masked)]
-        odd = [d.get(home, zero) for d in walk(origin, range(1, steps), False, plain, masked)]
+        even = home_weights(range(1, steps - 1), True, plain, masked)
+        odd = home_weights(range(1, steps), False, plain, masked)
         for j in range(rank):
             excursions[(i0, j)] = tuple(first)
             detours[(i0, j)] = tuple(detour)
-            avoid_even[(i0, j)] = (Fraction(1),) + tuple(even)
+            avoid_even[(i0, j)] = (one,) + tuple(even)
             # index 0 is not an odd horizon
             avoid_odd[(i0, j)] = (zero,) + tuple(odd)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,15 @@ class SpectralConfig:
             raise ValueError("N must be >= 2")
         if not 0 < self.a < math.inf:
             raise ValueError("a must be a positive finite number")
+        # T*T reaches the squared ceiling (2sa)^2, and the Lanczos norms and
+        # the tridiagonal eigensolver square its entries once more: out of
+        # the normal float range, trials fail or come out wrong
+        ceiling = 2.0 * self.s * self.a
+        fourth = (ceiling * ceiling) * (ceiling * ceiling)  # ** raises on overflow
+        if not math.isfinite(fourth):
+            raise ValueError(f"a = {self.a} is too large: (2sa)^4 overflows a float")
+        if fourth < sys.float_info.min:
+            raise ValueError(f"a = {self.a} is too small: (2sa)^4 underflows a float")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 < self.tol < math.inf:

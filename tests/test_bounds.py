@@ -88,6 +88,16 @@ class TestRadiusProblem:
             with pytest.raises(ValueError, match="a must be finite"):
                 RadiusProblem(s=2, a=a, d_bound=DBound.zero())
 
+    def test_free_radius_must_be_positive_finite(self):
+        # 1 / (2a sqrt(2s - 1)) overflows for a subnormal a, and is 0 once
+        # its denominator overflows
+        for a, radius in ((1e-320, "inf"), (5e-324, "inf"), (1e308, "0.0")):
+            with pytest.raises(ValueError, match=f"free radius {radius} is not a positive finite"):
+                RadiusProblem(s=2, a=a, d_bound=DBound.zero())
+        for a in (1e-300, 1e300):
+            problem = RadiusProblem(s=2, a=a, d_bound=DBound.zero())
+            assert radius_from_discriminant(problem) == pytest.approx(free_radius(2, a))
+
 
 class TestPFunction:
     def test_p_at_zero(self):

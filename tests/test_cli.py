@@ -73,6 +73,22 @@ class TestExitCodes:
             (["radius", "--s", "2", "--a", "nan"], "error: a must be finite"),
             (["radius", "--s", "2", "--a", "inf"], "error: a must be finite"),
             (["bounds", "--s", "2", "--a", "nan"], "error: a must be finite"),
+            (
+                ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e308"],
+                "error: a = 1e+308 is too large: (2sa)^4 overflows a float",
+            ),
+            (
+                ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e-100"],
+                "error: a = 1e-100 is too small: (2sa)^4 underflows a float",
+            ),
+            (
+                ["radius", "--s", "2", "--a", "1e-320"],
+                "error: a = 1e-320 is out of range: free radius inf is not a positive finite number",
+            ),
+            (
+                ["bounds", "--s", "2", "--a", "1e308"],
+                "error: a = 1e+308 is out of range: free radius 0.0 is not a positive finite number",
+            ),
         ],
     )
     def test_bad_config_is_usage_error(self, argv, message, capsys):

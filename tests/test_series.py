@@ -92,6 +92,13 @@ class TestFrozenTables:
             F(2543, 134217728),
         )
 
+    def test_integer_weights_count_return_paths(self):
+        # at a = 1 the step weights are integers (common denominator 1), so
+        # the returns are path counts: the integer class DP's 1, 4, 28, ...
+        tables = dp_tables(F2F2, norm_weights(F2F2, 1), 5)
+        assert tables.even_returns == (1, 4, 28, 232, 2108, 20344)
+        assert all(type(w) is F and w.denominator == 1 for w in tables.even_returns)
+
     def test_f2f2_lazy_even_returns(self, f2f2_lazy):
         assert f2f2_lazy.even_returns == (
             F(1),
@@ -303,6 +310,10 @@ class TestReferenceOracle:
             ("F1xF2", (F(1, 5), F(1, 10)), F(1, 10)),
             ("F2xF2", (F(1, 8), F(1, 16)), 0),
             ("F2xF1", (F(1, 6), F(0)), F(1, 3)),
+            # coprime denominators: the walk's common denominator is 210
+            ("F2xF3", (F(1, 6), F(1, 10)), F(1, 7)),
+            # the tracked factor itself does not move
+            ("F1xF2", (F(0), F(1, 5)), F(1, 7)),
         ],
     )
     def test_weights_differing_between_factors(self, group, rates, alpha0):

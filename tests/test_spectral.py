@@ -1,6 +1,8 @@
 """Haar unitaries and the tensor-sum norm estimator."""
 
+import dataclasses
 import math
+import sys
 import time
 
 import numpy as np
@@ -258,3 +260,21 @@ class TestEstimate:
         for a in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="a must be a positive finite number"):
                 SpectralConfig(s=2, N=10, a=a)
+        # Lanczos squares the entries of T*T, which reach (2sa)^2
+        edge = sys.float_info.max ** 0.25 / 4
+        SpectralConfig(s=2, N=10, a=edge * 0.999)
+        for a in (edge * 1.001, 1e100, 1e308):
+            with pytest.raises(ValueError, match=r"too large: \(2sa\)\^4 overflows"):
+                SpectralConfig(s=2, N=10, a=a)
+        edge = sys.float_info.min ** 0.25 / 4
+        SpectralConfig(s=2, N=10, a=edge * 1.001)
+        for a in (edge * 0.999, 1e-100, 5e-324):
+            with pytest.raises(ValueError, match=r"too small: \(2sa\)\^4 underflows"):
+                SpectralConfig(s=2, N=10, a=a)
+
+    @pytest.mark.parametrize("a", [1e76, 3.1e-78])
+    def test_extreme_a_within_range_scales_the_norm(self, a):
+        # the whole computation scales with a, up to rounding
+        config = SpectralConfig(s=2, N=6, trials=1, seed=0)
+        scaled = estimate_z_inverse(dataclasses.replace(config, a=a))
+        assert scaled.norms[0] == pytest.approx(a * estimate_z_inverse(config).norms[0], rel=1e-5)
