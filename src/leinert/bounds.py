@@ -171,7 +171,7 @@ def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
     lo, hi = 0.0, 1.0 / total
     while hi * eval_P_prime(hi, weights) < eval_P(hi, weights):
         lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
+        if hi * total > 1e12:
             raise ConvergenceError("no interior minimum found")
 
     theta = hi

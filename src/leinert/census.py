@@ -21,8 +21,14 @@ follows those classes, so it visits only prefixes of bad strings.
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
 of the first k letters, so a bad string is a kernel exactly when P_0, ...,
-P_{L-1} are pairwise distinct.  The search keeps each P_k as a tuple of
-interned stack ids and counts the repeats along its path as it goes.
+P_{L-1} are pairwise distinct.  The kernel count is a second search over
+the live classes that cuts a prefix, with all it leads to, as soon as some
+P_k with k < L repeats an earlier product on its path; every leaf it
+reaches is then a kernel.  Permuting the generators inside a factor, or
+swapping two factors of equal rank, maps valid, bad and kernel strings to
+themselves, so that search opens only with generator 0 of the first factor
+of each rank and weights the count by rank times the number of factors of
+that rank.
 
 Alongside the enumeration sit the closed-form counts (the length-8 and
 length-12 formulas, composition identities) and an
@@ -155,75 +161,106 @@ def _class_tables(
 
 def _walk_bad(
     signature: GroupSignature, length: int, rows: list, root: int | None
-) -> Iterator[tuple[list[tuple[int, int, int]], bool]]:
+) -> Iterator[list[tuple[int, int, int]]]:
     """Depth-first search of the bad valid strings of one length.
 
     Bases are tried in canonical order, and a move is taken only when the
     class tables of `_class_tables` keep it alive, so every prefix visited
-    completes to a bad string.  Each stack state of a factor is interned as
-    a small int, keyed by its parent state and the letter pushed; P_k is the
-    tuple of the factors' state ids, and the search counts how many of
-    P_1, ..., P_k repeat an earlier one on the current path.  P_L is the
-    identity P_0 again, so a bad string is a kernel when that is its only
-    repeat.  Yields the live list of (factor, gen, exp) triples of each bad
-    string with whether it is a kernel; the list changes as the search moves
-    on, so read it before the next step.
+    completes to a bad string.  Factor f's stack is the integer whose digits
+    in base R = 2 * max rank + 1 are its letters, exp * (gen + 1) mod R, top
+    letter lowest, so the inverse of digit d is R - d.  Yields the live list
+    of (factor, gen, exp) triples of each bad string; the list changes as
+    the search moves on, so read it before the next step.
     """
     if root is None:
         return
     ranks = signature.factors
-    # per exponent and factor: (signed generator, letter) in generator order
-    letters = [
-        [[(exp * (g + 1), (f, g, exp)) for g in range(rank)] for f, rank in enumerate(ranks)]
-        for exp in (-1, 1)
-    ]
-    interned: dict[tuple[int, int], int] = {}
-    tops = [0]  # the top letter of each interned state; 0 for the empty stack
-    state_ids = [[0] for _ in ranks]  # per factor, the states down its stack
-    current = [0] * len(ranks)
-    seen = {tuple(current): 1}
+    radix = 2 * max(ranks) + 1
+    codes = [0] * len(ranks)
     seq: list[tuple[int, int, int]] = []
-    repeats = 0
 
-    def walk(depth: int, cls: int, prev_factor: int, prev_signed: int):
-        nonlocal repeats
+    def walk(depth: int, cls: int, prev_factor: int, barred: int):
         if depth == length:
-            yield seq, repeats == 1
+            yield seq
             return
+        exp = 1 if depth % 2 else -1
         for factor, pop_child, push_child in rows[cls]:
-            ids = state_ids[factor]
-            cancel = -tops[ids[-1]]
-            barred = -prev_signed if factor == prev_factor else 0
-            for signed, letter in letters[depth % 2][factor]:
-                if signed == barred:
+            code = codes[factor]
+            for gen in range(ranks[factor]):
+                digit = exp * (gen + 1) % radix
+                pops = digit == radix - code % radix
+                child = pop_child if pops else push_child
+                if child is None or (factor == prev_factor and digit == barred):
                     continue
-                child = pop_child if signed == cancel else push_child
-                if child is None:
-                    continue
-                if signed == cancel:
-                    popped = ids.pop()
-                else:
-                    state = interned.setdefault((ids[-1], signed), len(tops))
-                    if state == len(tops):
-                        tops.append(signed)
-                    ids.append(state)
-                current[factor] = ids[-1]
-                product = tuple(current)
-                n = seen.get(product, 0)
-                seen[product] = n + 1
-                repeats += n > 0
-                seq.append(letter)
-                yield from walk(depth + 1, child, factor, signed)
+                codes[factor] = code // radix if pops else code * radix + digit
+                seq.append((factor, gen, exp))
+                yield from walk(depth + 1, child, factor, radix - digit)
                 seq.pop()
-                seen[product] = n
-                repeats -= n > 0
-                if signed == cancel:
-                    ids.append(popped)
-                else:
-                    ids.pop()
-                current[factor] = ids[-1]
+                codes[factor] = code
 
     yield from walk(0, root, -1, 0)
+
+
+def _count_kernels(
+    signature: GroupSignature, length: int, rows: list, root: int | None
+) -> int:
+    """Number of kernels among the bad valid strings of one length.
+
+    The search follows the live classes and codes the stacks as `_walk_bad`
+    does, but returns counts.  P_k is one integer holding each factor's
+    stack code in its own block of length / 2 digits, room enough since a
+    live stack never holds more letters than remain.  A move whose P_k
+    (k < L) is already on the path is cut with its subtree, so every leaf
+    reached is a kernel.
+
+    Permuting the generators of a factor, or swapping two factors of equal
+    rank, maps valid, bad and kernel strings to themselves and keeps the
+    first exponent.  So only generator 0 of the first factor of each rank
+    opens the search, and its count is weighted by rank times the number of
+    factors of that rank.
+    """
+    if root is None:
+        return 0
+    ranks = signature.factors
+    radix = 2 * max(ranks) + 1
+    block = radix ** (length // 2)
+    strides = [block**f for f in range(len(ranks))]
+    digits = [[[exp * (g + 1) % radix for g in range(rank)] for rank in ranks] for exp in (-1, 1)]
+
+    def walk(depth: int, cls: int, key: int, prev_factor: int, barred: int) -> int:
+        found = 0
+        for factor, pop_child, push_child in rows[cls]:
+            stride = strides[factor]
+            code = key // stride % block
+            cancel = radix - code % radix
+            skip = barred if factor == prev_factor else 0
+            for digit in digits[depth % 2][factor]:
+                if digit == cancel:
+                    child, new = pop_child, code // radix
+                else:
+                    child, new = push_child, code * radix + digit
+                if child is None or digit == skip:
+                    continue
+                if depth == length - 1:
+                    found += 1
+                    continue
+                product = key + (new - code) * stride
+                if product in seen:
+                    continue
+                seen.add(product)
+                found += walk(depth + 1, child, product, factor, radix - digit)
+                seen.remove(product)
+        return found
+
+    kernels = 0
+    for factor, _, push_child in rows[root]:
+        rank = ranks[factor]
+        if ranks.index(rank) == factor:
+            # the opening letter, generator 0 to the power -1, has digit R - 1
+            key = (radix - 1) * strides[factor]
+            seen = {0, key}
+            kernels += rank * ranks.count(rank) * walk(1, push_child, key, factor, 1)
+    return kernels
 
 
 def iter_bad_strings(
@@ -233,7 +270,7 @@ def iter_bad_strings(
     _check_length(length)
     _check_budget(signature, length, budget)
     _, rows, root = _class_tables(signature, length)
-    for seq, _ in _walk_bad(signature, length, rows, root):
+    for seq in _walk_bad(signature, length, rows, root):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
@@ -288,7 +325,7 @@ def take_census(
     entries = {}
     for length in lengths:
         bad, rows, root = _class_tables(signature, length)
-        kernels = sum(kernel for _, kernel in _walk_bad(signature, length, rows, root))
+        kernels = _count_kernels(signature, length, rows, root)
         entries[length] = CensusEntry(valid_string_count(signature, length), bad, kernels)
     return BadStringCensus(signature, entries)
 

@@ -32,7 +32,8 @@ act on them exactly.  Per-generator tables depend only on the factor.
 
 A class is one int, in the census's encoding: each factor's sign string is
 a bit code behind a leading 1 (1 for +1, the top letter lowest), the codes
-sit in fixed-width fields, and bit 0 flags a tracked first letter.  Every
+sit in fixed-width fields, bit 0 flags a tracked first letter, and the bits
+above the last field count the letters on all the stacks.  Every
 table but layer_mass is a return weight, and a letter shortens the stacks
 by at most one, so after step m a walk keeps only the classes whose stacks
 hold at most horizon - m letters: the others cannot get home in time.
@@ -160,8 +161,10 @@ def _moves(code, bit, rank, split, tracked):
 
 
 def _class(width: int, codes, tracked: int = 0) -> int:
-    """Pack one stack code per factor and the tracked flag into a class."""
-    return tracked + sum(code << 1 + width * f for f, code in enumerate(codes))
+    """Pack one stack code per factor, then the total stack length, and the
+    tracked flag into a class."""
+    fields = [*codes, sum(code.bit_length() - 1 for code in codes)]
+    return tracked + sum(field << 1 + width * f for f, field in enumerate(fields))
 
 
 def _letter(signature: GroupSignature, width: int, factor: int, sign: int) -> int:
@@ -191,6 +194,7 @@ def _walk(signature, rates, alpha0, width, start, weight, times, first_plain, ma
     home = _class(width, [1] * len(ranks))
     low = (1 << width) - 1
     shifts = [1 + width * f for f in range(len(ranks))]
+    top = 1 + width * len(ranks)
     marked = mark[0] if mark else None
     moves = {}
     dist = {start: 1}
@@ -200,20 +204,23 @@ def _walk(signature, rates, alpha0, width, start, weight, times, first_plain, ma
         nxt: dict[int, int] = {}
         for state, wt in dist.items():
             codes = [state >> shift & low for shift in shifts]
-            grows = sum(code.bit_length() for code in codes) - len(codes) < room
             for f, code in enumerate(codes):
                 tracked = state & 1 if f == marked else 0
                 key = (f, code, tracked, bit)
                 if key not in moves:
                     split = mark == (f, 2 * bit - 1)
                     moves[key] = [
-                        ((child - code << shifts[f]) + flag - tracked, ints[f] * ways, child > code)
+                        (
+                            (child - code << shifts[f]) + flag - tracked
+                            + (2 * (child > code) - 1 << top),
+                            ints[f] * ways,
+                        )
                         for child, flag, ways in _moves(code, bit, ranks[f], split, tracked)
                         if ints[f] and ways
                     ]
-                for delta, w, pushed in moves[key]:
-                    if grows or not pushed:
-                        ns = state + delta
+                for delta, w in moves[key]:
+                    ns = state + delta
+                    if ns >> top <= room:
                         nxt[ns] = nxt.get(ns, 0) + wt * w
         if lazy and dist.get(home):
             nxt[home] = nxt.get(home, 0) + dist[home] * lazy

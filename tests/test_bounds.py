@@ -511,6 +511,14 @@ class TestReport:
                     for fraction in (0.5, 0.9, 0.999):
                         assert solve_G_upper(fraction * r_lower, problem) >= 1.0
 
+    @pytest.mark.parametrize("a", [1e-30, 1e-100])
+    def test_tiny_a_rescales_the_radii(self, a):
+        # the minimiser's doubling bracket and its cap scale with 1/a
+        one = bound_report(RadiusProblem(s=2, a=1.0, d_bound=DBound.zero()))
+        tiny = bound_report(RadiusProblem(s=2, a=a, d_bound=DBound.zero()))
+        assert tiny.r_lower == pytest.approx(one.r_lower / a, rel=1e-12)
+        assert tiny.r_upper == pytest.approx(one.r_upper / a, rel=1e-12)
+
     def test_zero_decay_report_collapses(self):
         problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.zero())
         report = bound_report(problem)

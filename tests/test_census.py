@@ -113,6 +113,15 @@ class TestBadCounts:
         assert count_bad_exact(F2F2, 10, kernel_only=True) == 0
         assert count_bad_exact(Z3, 8, kernel_only=True) == 0
 
+    @pytest.mark.parametrize(
+        "name, length, bad, kernels",
+        [("F2xF2", 18, 11968, 1440), ("F2xF2xF2", 12, 48144, 23328)],
+    )
+    def test_longer_lengths(self, name, length, bad, kernels):
+        # pinned from a search that flagged every bad string as kernel or not
+        e = take_census(parse_signature(name), [length]).entries[length]
+        assert (e.bad, e.kernels) == (bad, kernels)
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_bad_exact(F2F2, 8, budget=100)
@@ -145,7 +154,7 @@ class TestCensusObject:
             raise AssertionError("enumerated before the budget check")
 
         monkeypatch.setattr("leinert.census._class_tables", no_search)
-        monkeypatch.setattr("leinert.census._walk_bad", no_search)
+        monkeypatch.setattr("leinert.census._count_kernels", no_search)
         with pytest.raises(BudgetExceededError, match="at length 20"):
             take_census(F2F2, range(2, 100, 2))
 
@@ -185,6 +194,10 @@ class TestAgainstReferenceSearch:
             ("F1xF1xF2", 12),
             ("F3xF1", 10),
             ("F1xF3", 12),
+            # the first factor of a rank is not factor 0, or ranks are unsorted
+            ("F2xF1xF2", 10),
+            ("F1xF2xF3", 8),
+            ("F3xF1xF2", 8),
         ],
     )
     def test_census(self, name, max_length):
