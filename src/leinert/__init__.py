@@ -11,9 +11,15 @@ Five capabilities, one per module pair:
   breakdown point and a one-variable minimization;
 - spectral: Haar-random-unitary experiments estimating the operator norm
   the radius bounds predict.
+
+sampler and spectral are the modules that need numpy; their names here load
+on first access, so importing the package (or running an exact subcommand)
+does not import numpy.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .bounds import (
     BoundReport,
@@ -68,14 +74,6 @@ from .groups import (
     parse_signature,
     word_to_text,
 )
-from .sampler import (
-    SampleConfig,
-    SampleReport,
-    StringModel,
-    estimate_bad_frequency,
-    estimate_decay_rate,
-    wilson_interval,
-)
 from .series import (
     ProbabilityTables,
     Series,
@@ -85,12 +83,35 @@ from .series import (
     generating_functions,
     verify_recurrences,
 )
-from .spectral import (
-    NormEstimate,
-    SpectralConfig,
-    apply_T,
-    estimate_z_inverse,
-    free_limit,
-    haar_unitary,
-    two_norm,
-)
+
+_SAMPLER = (
+    "SampleConfig SampleReport StringModel estimate_bad_frequency estimate_decay_rate "
+    "wilson_interval"
+).split()
+_SPECTRAL = (
+    "NormEstimate SpectralConfig apply_T estimate_z_inverse free_limit haar_unitary two_norm"
+).split()
+
+
+def _lazy_names(namespace: dict, **homes):
+    """A module __getattr__ (PEP 562) for `namespace`: each name listed under
+    a leinert module in `homes` is imported from it on first access and kept
+    in `namespace`, so later lookups find it there."""
+    home_of = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        module = home_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_names(globals(), sampler=_SAMPLER, spectral=_SPECTRAL)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_SAMPLER, *_SPECTRAL})

@@ -24,8 +24,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 
 class ConvergenceError(RuntimeError):
     """A solver ran out of iterations or left its admissible region."""
@@ -130,8 +128,8 @@ def eval_P_prime(t: float, weights: Sequence[float]) -> float:
         raise ValueError("t must be nonnegative")
     acc = 0.0
     for alpha in weights:
-        a2 = alpha * alpha
-        acc += 4.0 * a2 * t / math.sqrt(1.0 + 4.0 * a2 * t * t)
+        at = alpha * t
+        acc += 4.0 * alpha * at / math.sqrt(1.0 + 4.0 * at * at)
     return 0.5 * acc
 
 
@@ -141,8 +139,8 @@ def eval_P_second(t: float, weights: Sequence[float]) -> float:
         raise ValueError("t must be nonnegative")
     acc = 0.0
     for alpha in weights:
-        a2 = alpha * alpha
-        acc += 4.0 * a2 / (1.0 + 4.0 * a2 * t * t) ** 1.5
+        at = alpha * t
+        acc += 4.0 * alpha * alpha / (1.0 + 4.0 * at * at) ** 1.5
     return 0.5 * acc
 
 
@@ -160,13 +158,19 @@ def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
     |t P' - P| <= STATIONARITY_TOL * P within 60 steps.  With n <= 2 the
     infimum sits at t -> infinity and equals the total weight, so the pair
     (1 / sum(weights), inf) is returned.
+
+    The search runs on the weights divided by the largest one, w, since
+    P(t) with those weights is P(w t) with the originals: t P'' and the
+    bracket stay in the normal float range however large or small w is.
     """
     weights = [float(w) for w in weights]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    total = sum(weights)
     if len(weights) <= 2:
-        return 1.0 / total, math.inf
+        return 1.0 / sum(weights), math.inf
+    top = max(weights)
+    weights = [w / top for w in weights]
+    total = sum(weights)
 
     lo, hi = 0.0, 1.0 / total
     while hi * eval_P_prime(hi, weights) < eval_P(hi, weights):
@@ -179,6 +183,7 @@ def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
         p = eval_P(theta, weights)
         g = theta * eval_P_prime(theta, weights) - p
         if abs(g) <= STATIONARITY_TOL * p:
+            theta /= top  # back to the original weights
             return theta / p, theta
         if g < 0:
             lo = theta
@@ -188,7 +193,7 @@ def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
     raise ConvergenceError(
-        f"Newton left |t P' - P| = {abs(g):.3g} at t = {theta:.17g} after 60 steps"
+        f"Newton left |t P' - P| = {abs(g):.3g} at t = {theta / top:.17g} after 60 steps"
     )
 
 
@@ -257,13 +262,14 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     sign.  With D = z^2 / (R^2 - z^2), multiplying through by R^2 - z^2 > 0
     turns each sign into the cubic
         sign*c z^3 + 2s z^2 - sign*c R^2 z - R^2 = 0
-    without adding a root in (0, R).  Each cubic has exactly one root there:
-    the minus sign gives the lower crossing, the plus sign the upper one,
-    and no real G branch exists between them.  A root is kept only if it
-    still lies in (0, R) after rounding, so past R of about 1e16 the upper
-    root, which rounds to R, drops out.  At an extreme R the float
-    coefficients overflow or lose their R^2 terms; a solve that then finds
-    no lower root raises ConvergenceError.
+    without adding a root in (0, R).  Each cubic is -R^2 < 0 at 0 and
+    (2s-1)R^2 > 0 at R, and has exactly one root there: the minus sign gives
+    the lower crossing, the plus sign the upper one, and no real G branch
+    exists between them.  A root is kept only if it still lies in (0, R)
+    after rounding, so once R is large against 1/c the upper root, which
+    rounds to R, drops out.  At an extreme R the float coefficients overflow
+    or lose their R^2 terms; a solve that then finds no lower root raises
+    ConvergenceError.
     """
     s, a = problem.s, problem.a
     if problem.d_bound.kind is DKind.ZERO:
@@ -274,22 +280,55 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     roots = []
     for sign in (-1, 1):
         k3, k2, k1, k0 = sign * c, 2 * s, -sign * c * R2, -R2
-        try:
-            with np.errstate(all="raise"):
-                candidates = np.roots([float(k) for k in (k3, k2, k1, k0)])
-        except ArithmeticError:  # a coefficient or their ratio overflows
-            candidates = []
-        for z in candidates:
-            if abs(z.imag) <= 1e-9 * max(1.0, abs(z.real)) and 0 < z.real < R:
-                # one Newton step in exact arithmetic rounds the root correctly
-                z = Fraction(z.real)
-                f = ((k3 * z + k2) * z + k1) * z + k0
-                z = float(z - f / ((3 * k3 * z + 2 * k2) * z + k1))
-                if 0 < z < R:
-                    roots.append(z)
+        z = _cubic_root((k3, k2, k1, k0), R)
+        if z is not None:
+            # one Newton step in exact arithmetic rounds the root correctly
+            z = Fraction(z)
+            f = ((k3 * z + k2) * z + k1) * z + k0
+            z = float(z - f / ((3 * k3 * z + 2 * k2) * z + k1))
+            if 0 < z < R:
+                roots.append(z)
         if not roots:
             raise ConvergenceError(f"no discriminant root found in (0, R) for R = {R}")
     return sorted(roots)
+
+
+def _cubic_root(coeffs: tuple, R: float) -> float | None:
+    """The root in (0, R) of the cubic with the given coefficients (highest
+    first), which is negative at 0 and positive at R, in float arithmetic;
+    None when the float coefficients cannot carry it: R^2 rounds to 0 or
+    overflows, or so does a value of the cubic.
+
+    Newton steps, kept inside the sign bracket by bisection, until the
+    iterate repeats; the bracket ends are never evaluated, since near a
+    large R the float sum of the cubic's terms is mostly rounding.
+    """
+    try:
+        k3, k2, k1, k0 = (float(k) for k in coeffs)
+    except OverflowError:
+        return None
+    if k0 == 0:
+        return None
+    lo, hi = 0.0, R
+    z = 0.5 * R
+    for _ in range(200):
+        f = ((k3 * z + k2) * z + k1) * z + k0
+        df = (3 * k3 * z + 2 * k2) * z + k1
+        if not (math.isfinite(f) and math.isfinite(df)):
+            return None
+        if f == 0:
+            return z
+        if f < 0:
+            lo = z
+        else:
+            hi = z
+        step = z - f / df if df else z
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == z:
+            break
+        z = step
+    return z
 
 
 def radius_from_discriminant(problem: RadiusProblem) -> float:

@@ -41,12 +41,11 @@ multiplicity of longer excursions); the comparison table records both.
 from __future__ import annotations
 
 import math
+import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .groups import GroupSignature, Letter, Word
 from .groups import is_kernel  # unused here; perfbench/tracing.py binds census.is_kernel
@@ -534,18 +533,13 @@ def fit_exponential_rate(xs: Sequence[float], ys: Sequence[float]) -> tuple[floa
     Returns (rate, rms residual of the log fit).  Requires at least three
     positive observations.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    keep = ys > 0
-    if keep.sum() < 3:
-        raise InsufficientDataError(
-            f"need >= 3 positive observations, got {int(keep.sum())}"
-        )
-    xs, logy = xs[keep], np.log(ys[keep])
-    slope, intercept = np.polyfit(xs, logy, 1)
-    fitted = slope * xs + intercept
-    residual = float(np.sqrt(np.mean((logy - fitted) ** 2)))
-    return float(np.exp(slope)), residual
+    points = [(float(x), math.log(y)) for x, y in zip(xs, ys) if y > 0]
+    if len(points) < 3:
+        raise InsufficientDataError(f"need >= 3 positive observations, got {len(points)}")
+    xs, logy = zip(*points)
+    slope, intercept = statistics.linear_regression(xs, logy)
+    residual = math.sqrt(statistics.fmean((ly - (slope * x + intercept)) ** 2 for x, ly in points))
+    return math.exp(slope), residual
 
 
 def growth_rate(census: BadStringCensus) -> GrowthEstimate:

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+from . import __version__, _lazy_names
 from .bounds import (
     ConvergenceError,
     DBound,
@@ -34,7 +34,6 @@ from .bounds import (
 )
 from .census import BadStringCensus, BudgetExceededError, DEFAULT_BUDGET, take_census
 from .groups import GroupSignature, MalformedWordError, parse_signature
-from .sampler import SampleConfig, estimate_bad_frequency
 from .series import (
     ProbabilityTables,
     Series,
@@ -44,11 +43,21 @@ from .series import (
     generating_functions,
     verify_recurrences,
 )
-from .spectral import NormEstimate, SpectralConfig, estimate_z_inverse, free_limit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# sampler and spectral bring numpy, which census, verify-series, radius and
+# bounds never touch, so their names load on first access.  The subcommands
+# call them as attributes of this module, _cli.<name>: a function set on
+# cli.<name> from outside is the one they run.
+__getattr__ = _lazy_names(
+    globals(),
+    sampler=("SampleConfig", "estimate_bad_frequency"),
+    spectral=("NormEstimate", "SpectralConfig", "estimate_z_inverse", "free_limit"),
+)
+_cli = sys.modules[__name__]
 
 
 def _parse_d_bound(text: str) -> DBound:
@@ -224,7 +233,7 @@ def spectral_summary(estimate: NormEstimate) -> dict:
         "mean": estimate.mean,
         "std": estimate.std,
         "all_converged": estimate.all_converged,
-        "free_limit": free_limit(cfg.s, cfg.a),
+        "free_limit": _cli.free_limit(cfg.s, cfg.a),
     }
 
 
@@ -284,9 +293,13 @@ def _cmd_sample(args, manifest: _Manifest) -> int:
     _ensure_seed(args)
     sig = args.group
     reports = [
-        estimate_bad_frequency(
+        _cli.estimate_bad_frequency(
             _config(
-                SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
+                _cli.SampleConfig,
+                signature=sig,
+                length=length,
+                samples=args.samples,
+                seed=args.seed,
             )
         )
         for length in range(2, args.max_length + 1, 2)
@@ -365,7 +378,7 @@ def _cmd_bounds(args, manifest: _Manifest) -> int:
 def _cmd_spectral(args, manifest: _Manifest) -> int:
     _ensure_seed(args)
     config = _config(
-        SpectralConfig,
+        _cli.SpectralConfig,
         s=args.s,
         N=args.N,
         a=args.a,
@@ -373,14 +386,14 @@ def _cmd_spectral(args, manifest: _Manifest) -> int:
         seed=args.seed,
         tol=args.tol,
     )
-    estimate = estimate_z_inverse(config)
+    estimate = _cli.estimate_z_inverse(config)
     print(
         f"s={args.s} N={args.N} a={args.a} trials={args.trials} seed={args.seed}"
     )
     print(f"norms: {', '.join(f'{x:.6f}' for x in estimate.norms)}")
     print(
         f"mean = {estimate.mean:.6f}  std = {estimate.std:.3e}  "
-        f"free limit = {free_limit(args.s, args.a):.6f}"
+        f"free limit = {_cli.free_limit(args.s, args.a):.6f}"
     )
     manifest.add("spectral.csv", write_spectral_csv(estimate))
     manifest.add("spectral_summary.json", _json(spectral_summary(estimate)))
@@ -407,8 +420,8 @@ def _cmd_figure(args, manifest: _Manifest) -> int:
 
     rows = []
     for s in args.s_range:
-        est = estimate_z_inverse(
-            _config(SpectralConfig, s=s, N=args.N, a=1.0, trials=args.trials, seed=args.seed)
+        est = _cli.estimate_z_inverse(
+            _config(_cli.SpectralConfig, s=s, N=args.N, a=1.0, trials=args.trials, seed=args.seed)
         )
         rows.append((s, args.N, args.trials, est.mean, est.std))
     manifest.add("figure_spectral.dat", _table("# s  N  trials  mean_norm  std", rows, " "))
@@ -419,9 +432,9 @@ def _cmd_figure(args, manifest: _Manifest) -> int:
     for length in census.lengths():
         exact = float(census.entries[length].frequency)
         config = _config(
-            SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
+            _cli.SampleConfig, signature=sig, length=length, samples=args.samples, seed=args.seed
         )
-        report = estimate_bad_frequency(config)
+        report = _cli.estimate_bad_frequency(config)
         lo, hi = report.wilson_interval_95
         rows.append((length, exact, float(report.frequency), lo, hi))
     header = "# length  exact_freq  sampled_freq  wilson_lo  wilson_hi"

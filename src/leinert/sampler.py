@@ -14,8 +14,10 @@ one (length, count) array of letter codes 2*base + (1 if inverse).  Parity
 is exact integer arithmetic: each base carries the weight M^j, M = length + 1,
 in one of a few packed int64 words, and since no exponent sum exceeds the
 length in absolute value, a packed sum vanishes only when every per-base sum
-does.  Only the parity survivors leave numpy, as rows of (factor, signed
-generator) ints for groups.reduce_stacks.
+does.  Only the parity survivors leave numpy, each as the bytes of its
+uint16 letter codes; a distinct one is read as (factor, signed generator)
+pairs from a per-code table and reduced by groups.reduce_stacks once per
+length.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class SampleConfig:
             raise ValueError("valid strings have even length")
         if self.model is StringModel.VALID and self.signature.total_generators < 2:
             raise ValueError("valid strings need at least two generators")
+        if self.signature.total_generators > 2**15:
+            raise ValueError("letter codes are uint16: at most 32768 generators")
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,23 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
     bases = list(sig.bases())
     s = len(bases)
     weight = _parity_weights(s, config.length)
-    factor_of = np.repeat([f for f, _ in bases], 2)
-    signed_of = np.array([e * (g + 1) for _, g in bases for e in (1, -1)])
+    letter_of = [(f, e * (g + 1)) for f, g in bases for e in (1, -1)]
+    num_factors = sig.num_factors
+    row_bytes = np.dtype((np.void, 2 * config.length))  # a row of uint16 codes
+    # a survivor is bad when its stacks end empty.  Survivors repeat within
+    # a length, so each distinct row is reduced once; at most one chunk's
+    # worth of verdicts is kept
+    verdicts: dict[bytes, bool] = {}
+
+    def is_bad(row: bytes) -> bool:
+        verdict = verdicts.get(row)
+        if verdict is None:
+            if len(verdicts) >= CHUNK:
+                verdicts.clear()
+            letters = map(letter_of.__getitem__, memoryview(row).cast("H"))
+            verdict = verdicts[row] = not any(reduce_stacks(letters, num_factors))
+        return verdict
+
     model_tag = 0 if config.model is StringModel.VALID else 1
     rejections = {t: 0 for t in config.tests}
     bad_total = 0
@@ -153,14 +172,10 @@ def estimate_bad_frequency(config: SampleConfig) -> SampleReport:
             if test is TestKind.PARITY:
                 ok = _balanced(codes, weight)
             else:
-                # exact stage: a survivor is bad when its stacks end empty
                 live = np.flatnonzero(alive)
-                rows = codes[:, live].T
                 ok = alive.copy()
-                ok[live] = [
-                    not any(reduce_stacks(zip(f, g), sig.num_factors))
-                    for f, g in zip(factor_of[rows].tolist(), signed_of[rows].tolist())
-                ]
+                rows = codes[:, live].T.astype(np.uint16, order="C").view(row_bytes).ravel()
+                ok[live] = list(map(is_bad, rows.tolist()))
             rejections[test] += int((alive & ~ok).sum())
             alive &= ok
         bad_total += int(alive.sum())

@@ -3,6 +3,7 @@
 import math
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,13 @@ class TestWoessRadius:
                 assert theta == pytest.approx(
                     math.sqrt(n - 1) / (a * (n - 2)), rel=1e-9
                 )
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-200, 1e-160, 1e300, 5e307])
+    def test_closed_form_at_extreme_weights(self, a):
+        # a^2 leaves the float range, the weights scaled to 1 do not
+        r, theta = woess_radius(uniform(4, a))
+        assert r == pytest.approx(1.0 / (2 * a * math.sqrt(3)), rel=1e-12)
+        assert theta == pytest.approx(math.sqrt(3) / (2 * a), rel=1e-9)
 
     def test_two_letters_degenerate(self):
         r, theta = woess_radius(uniform(2, 0.25))
@@ -412,14 +420,47 @@ class TestDiscriminant:
         assert radii == sorted(radii)
         assert radii[-1] < free_radius(2, 0.25)
 
-    @pytest.mark.parametrize("s, R", [(2, 1e-200), (2, 1e-300), (1, 1e34), (2, 1e300)])
+    @pytest.mark.parametrize("s, R", [(2, 1e-200), (2, 1e-300), (2, 1e300)])
     def test_extreme_radius_refuses(self, s, R):
-        # the R^2 coefficients underflow (small R) or overflow (R = 1e300);
-        # at R = 1e34 the solve loses the lower root and finds one that
-        # rounds to R itself, which used to come back as the radius
+        # the R^2 coefficients underflow (small R) or overflow (R = 1e300)
         problem = RadiusProblem(s=s, a=1.0, d_bound=DBound.radius_form(R))
         with pytest.raises(ConvergenceError, match=re.escape(f"for R = {R}")):
             discriminant_roots(problem)
+
+    @pytest.mark.parametrize("s, R", [(1, 1e34), (2, 1e100)])
+    def test_huge_radius_keeps_the_lower_root(self, s, R):
+        # the lower root is the free radius to double precision, and the
+        # upper one rounds to R and drops out; a companion-matrix solve lost
+        # the lower root here and was left with one that rounds to R
+        problem = RadiusProblem(s=s, a=1.0, d_bound=DBound.radius_form(R))
+        assert discriminant_roots(problem) == [free_radius(s, 1.0)]
+
+    @pytest.mark.parametrize(
+        "s, a, R",
+        [
+            (2, 0.25, 2.0),
+            (7, 100.0, 1e14),
+            (6, 1.4511186510772444e-05, 7.217938448493742e-08),
+            (9, 0.011813465569308493, 9.590899303223049e-11),
+        ],
+    )
+    def test_roots_are_correctly_rounded(self, s, a, R):
+        # the exact cubic changes sign between the midpoints to each root's
+        # float neighbours; the last three cases are ones where a
+        # companion-matrix solve was an ulp off or missed the upper root
+        problem = RadiusProblem(s=s, a=a, d_bound=DBound.radius_form(R))
+        roots = discriminant_roots(problem)
+        assert len(roots) == 2
+        c = Fraction(2 * a * math.sqrt(2 * s - 1))
+        R2 = Fraction(R) ** 2
+        for sign, z in zip((-1, 1), roots):
+
+            def f(x):
+                return ((sign * c * x + 2 * s) * x - sign * c * R2) * x - R2
+
+            below = (Fraction(z) + Fraction(math.nextafter(z, 0))) / 2
+            above = (Fraction(z) + Fraction(math.nextafter(z, math.inf))) / 2
+            assert f(below) < 0 < f(above)
 
     def test_upper_root_that_rounds_to_R_drops_out(self):
         # the upper root is about R - 0.43, which rounds to R at R = 1e20

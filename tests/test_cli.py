@@ -1,15 +1,19 @@
 """Command-line surface: exit codes, outputs, manifests."""
 
 import hashlib
+import importlib
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from leinert import cli, spectral
+import leinert
+from leinert import cli, sampler, spectral
 from leinert.bounds import ConvergenceError
 from leinert.cli import run
 
@@ -88,6 +92,10 @@ class TestExitCodes:
             (
                 ["bounds", "--s", "2", "--a", "1e308"],
                 "error: a = 1e+308 is out of range: free radius 0.0 is not a positive finite number",
+            ),
+            (
+                ["sample", "--group", "F32769", "--seed", "1"],
+                "error: letter codes are uint16: at most 32768 generators",
             ),
         ],
     )
@@ -226,92 +234,231 @@ class TestCensus:
         assert json.loads((out / "manifest.json").read_text())["duration_s"] >= 0.2
 
 
-class TestPinnedOutputs:
-    # sha256 of the exact and deterministic outputs.  The census and series
-    # digests are those the benchmark pins in perfbench/jobs.py.  spectral.csv
-    # and figure_spectral.dat are left out: their float digits depend on BLAS.
-    FIGURE = [
-        "figure", "--s-range", "2:5", "--N", "10", "--trials", "1", "--samples", "2000",
-        "--max-length", "10", "--seed", "1", "--d-bound", "R=3",
-    ]
+# sha256 of the exact and deterministic outputs.  The census and series
+# digests are those the benchmark pins in perfbench/jobs.py.  spectral.csv
+# and figure_spectral.dat are left out: their float digits depend on BLAS.
+PINNED_FIGURE = [
+    "figure", "--s-range", "2:5", "--N", "10", "--trials", "1", "--samples", "2000",
+    "--max-length", "10", "--seed", "1", "--d-bound", "R=3",
+]
 
-    @pytest.mark.parametrize(
-        "argv, name, sha256",
-        [
-            (
-                ["census", "--group", "F2xF2", "--max-length", "16"],
-                "census.csv",
-                "7147d78f4a58ad880fa34d29fded8e37c8441d7e491b13511174b82cb88c256a",
-            ),
-            (
-                ["census", "--group", "F2xF2xF2", "--max-length", "10"],
-                "census.csv",
-                "60ae10337a2b2dd4ae9579105c3cc8312f1b4bda3baa3fc5a8234923bb48ac32",
-            ),
-            (
-                ["census", "--group", "F2xF3", "--max-length", "12"],
-                "census.csv",
-                "09174613b1679ef58ea2903d8336eb2838fd0dc7e83b22cb7fde0874e7495642",
-            ),
-            (
-                ["census", "--group", "Z3", "--max-length", "12"],
-                "census.csv",
-                "e04bfcbf8e5b3a0709babcde2fb758733e03ccd85aa140aa914c49e0e68d4036",
-            ),
-            (
-                ["census", "--group", "F1xF3", "--max-length", "16"],
-                "census.csv",
-                "45680987f124ea2776b0b6a12045164088aa0f7fa38c29ba4155859cb3987eac",
-            ),
-            (
-                ["verify-series", "--group", "F2xF2", "--n-max", "5", "--alpha0", "0", "--a", "1/8"],
-                "series_tables.json",
-                "3bd91a796196336b5c669b009f2143785e90951d50509e862f5984bb50fab55e",
-            ),
-            (
-                ["verify-series", "--group", "F2xF2", "--n-max", "5", "--alpha0", "1/9", "--a", "1/9"],
-                "series_tables.json",
-                "6d746e54b5269b487840c51dba574cb046e0a705617651c3a07acf5c09ffb15c",
-            ),
-            (
-                ["verify-series", "--group", "F1xF1", "--n-max", "6", "--alpha0", "0", "--a", "1/4"],
-                "series_tables.json",
-                "13bf3d11d023b2b9d109e90ceb221175a0006134387b1f0712871fad702cfa55",
-            ),
-            (
-                ["bounds", "--s", "2", "--a", "0.25", "--d-bound", "R=2", "--s-range", "2:8"],
-                "curve_points.csv",
-                "6c9bd6b883a2a5c45abd04e58776774a242ced7210429e20d860ba3e28df3d51",
-            ),
-            (
-                FIGURE,
-                "figure_bounds.dat",
-                "f85612b6bcf7f77001aadc92924e6df939d4b137dca693c2644db46c6f671595",
-            ),
-            (
-                FIGURE,
-                "figure_decay.dat",
-                "747285e25cbdac2ae375f6b8c20180c8a126ae86fa1e68ffe7140f70de6a7bd2",
-            ),
-        ],
-        ids=[
-            "census-F2xF2-16",
-            "census-F2xF2xF2-10",
-            "census-F2xF3-12",
-            "census-Z3-12",
-            "census-F1xF3-16",
-            "series-F2xF2-a0",
-            "series-F2xF2-lazy",
-            "series-F1xF1",
-            "bounds-s2",
-            "figure-bounds",
-            "figure-decay",
-        ],
-    )
+PINNED_BYTES = [
+    (
+        ["census", "--group", "F2xF2", "--max-length", "16"],
+        "census.csv",
+        "7147d78f4a58ad880fa34d29fded8e37c8441d7e491b13511174b82cb88c256a",
+    ),
+    (
+        ["census", "--group", "F2xF2xF2", "--max-length", "10"],
+        "census.csv",
+        "60ae10337a2b2dd4ae9579105c3cc8312f1b4bda3baa3fc5a8234923bb48ac32",
+    ),
+    (
+        ["census", "--group", "F2xF3", "--max-length", "12"],
+        "census.csv",
+        "09174613b1679ef58ea2903d8336eb2838fd0dc7e83b22cb7fde0874e7495642",
+    ),
+    (
+        ["census", "--group", "Z3", "--max-length", "12"],
+        "census.csv",
+        "e04bfcbf8e5b3a0709babcde2fb758733e03ccd85aa140aa914c49e0e68d4036",
+    ),
+    (
+        ["census", "--group", "F1xF3", "--max-length", "16"],
+        "census.csv",
+        "45680987f124ea2776b0b6a12045164088aa0f7fa38c29ba4155859cb3987eac",
+    ),
+    (
+        ["verify-series", "--group", "F2xF2", "--n-max", "5", "--alpha0", "0", "--a", "1/8"],
+        "series_tables.json",
+        "3bd91a796196336b5c669b009f2143785e90951d50509e862f5984bb50fab55e",
+    ),
+    (
+        ["verify-series", "--group", "F2xF2", "--n-max", "5", "--alpha0", "1/9", "--a", "1/9"],
+        "series_tables.json",
+        "6d746e54b5269b487840c51dba574cb046e0a705617651c3a07acf5c09ffb15c",
+    ),
+    (
+        ["verify-series", "--group", "F1xF1", "--n-max", "6", "--alpha0", "0", "--a", "1/4"],
+        "series_tables.json",
+        "13bf3d11d023b2b9d109e90ceb221175a0006134387b1f0712871fad702cfa55",
+    ),
+    (
+        ["bounds", "--s", "2", "--a", "0.25", "--d-bound", "R=2", "--s-range", "2:8"],
+        "curve_points.csv",
+        "6c9bd6b883a2a5c45abd04e58776774a242ced7210429e20d860ba3e28df3d51",
+    ),
+    (
+        PINNED_FIGURE,
+        "figure_bounds.dat",
+        "f85612b6bcf7f77001aadc92924e6df939d4b137dca693c2644db46c6f671595",
+    ),
+    (
+        PINNED_FIGURE,
+        "figure_decay.dat",
+        "747285e25cbdac2ae375f6b8c20180c8a126ae86fa1e68ffe7140f70de6a7bd2",
+    ),
+]
+PINNED_IDS = [
+    "census-F2xF2-16",
+    "census-F2xF2xF2-10",
+    "census-F2xF3-12",
+    "census-Z3-12",
+    "census-F1xF3-16",
+    "series-F2xF2-a0",
+    "series-F2xF2-lazy",
+    "series-F1xF1",
+    "bounds-s2",
+    "figure-bounds",
+    "figure-decay",
+]
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv, name, sha256", PINNED_BYTES, ids=PINNED_IDS)
     def test_pinned_bytes(self, argv, name, sha256, tmp_path):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 0
         assert digest(out / name) == sha256
+
+
+# the subcommands that never need numpy, run with numpy unimportable: the
+# pinned outputs come out byte for byte and radius prints what it printed
+# when numpy was imported up front
+NUMPY_FREE = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import leinert, leinert.cli as cli
+
+assert "numpy" not in sys.modules, "import leinert, leinert.cli loaded numpy"
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+results = []
+for argv, name in json.loads(sys.argv[1]):
+    out = Path(sys.argv[2]) / str(len(results))
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.run(argv + (["--out", str(out)] if name else []))
+    data = (out / name).read_bytes() if name and code == 0 else b""
+    results.append([code, hashlib.sha256(data).hexdigest() if name else buf.getvalue()])
+print(json.dumps(results))
+"""
+
+RADIUS_STDOUT = [
+    (
+        ["radius", "--s", "2", "--a", "0.25", "--d-bound", "R=2"],
+        "s=2 a=0.25 d-bound=radius_form\n"
+        "z = 0.6886915516   (z^-1 = 1.452028848)\n"
+        "all discriminant roots: 0.6886915516, 1.285802479\n",
+    ),
+    (
+        ["radius", "--s", "3", "--a", "1", "--d-bound", "c=0.2"],
+        "s=3 a=1.0 d-bound=geometric_rate\n"
+        "z = 0.2214101397   (z^-1 = 4.516504986)\n"
+        "all discriminant roots: 0.2214101397, 4.495748559\n",
+    ),
+    (
+        ["radius", "--s", "2", "--a", "0.25"],
+        "s=2 a=0.25 d-bound=zero\nz = 1.154700538   (z^-1 = 0.8660254038)\n",
+    ),
+]
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    exact = [(argv, name, sha) for argv, name, sha in PINNED_BYTES if argv[0] != "figure"]
+    assert {argv[0] for argv, _, _ in exact} == {"census", "verify-series", "bounds"}
+    jobs = [(argv, name) for argv, name, _ in exact] + [(argv, None) for argv, _ in RADIUS_STDOUT]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE, json.dumps(jobs), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [[0, sha] for _, _, sha in exact] + [[0, text] for _, text in RADIUS_STDOUT]
+    assert json.loads(proc.stdout) == expected
+
+
+class TestLazyNames:
+    # every name the package exported when it imported sampler and spectral
+    # up front
+    EXPORTED = {
+        "bounds": "BoundReport ConvergenceError DBound DKind PastRadiusError RadiusProblem "
+        "bound_report curve_points discriminant_roots eval_P eval_P_prime eval_Q "
+        "free_radius quadratic_coeffs r_squared_closed_form radius_from_discriminant "
+        "solve_G_upper woess_radius",
+        "census": "BadStringCensus BudgetExceededError CensusEntry bad_count_length8_formula "
+        "bad_count_length12_formula brute_force_return_walks composition_sum_identity "
+        "compositions_count count_bad_exact first_return_formula fit_exponential_rate "
+        "growth_rate iter_bad_strings iter_compositions return_walks_formula take_census "
+        "valid_string_count walk_formula_comparison",
+        "groups": "GroupSignature Letter MalformedWordError NormalForm Word is_kernel "
+        "is_reduced_string is_simple_cycle normal_form parse_signature word_to_text",
+        "sampler": "SampleConfig SampleReport StringModel estimate_bad_frequency "
+        "estimate_decay_rate wilson_interval",
+        "series": "ProbabilityTables Series SeriesBundle WalkWeights dp_tables "
+        "generating_functions verify_recurrences",
+        "spectral": "NormEstimate SpectralConfig apply_T estimate_z_inverse free_limit "
+        "haar_unitary two_norm",
+    }
+
+    @pytest.mark.parametrize("module", sorted(EXPORTED))
+    def test_exported_names_resolve(self, module):
+        home = importlib.import_module(f"leinert.{module}")
+        for name in self.EXPORTED[module].split():
+            assert name in dir(leinert)
+            assert getattr(leinert, name) is getattr(home, name)
+
+    def test_cli_names_resolve(self):
+        for name in ("SampleConfig", "estimate_bad_frequency"):
+            assert getattr(cli, name) is getattr(sampler, name)
+        for name in ("NormEstimate", "SpectralConfig", "estimate_z_inverse", "free_limit"):
+            assert getattr(cli, name) is getattr(spectral, name)
+
+    def test_unknown_names_raise(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            leinert.no_such_name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (
+                ["sample", "--group", "F2xF2", "--max-length", "6", "--samples", "300"],
+                {"estimate_bad_frequency": 3},
+            ),
+            (["spectral", "--s", "2", "--N", "4", "--trials", "1"], {"estimate_z_inverse": 1}),
+            (
+                [
+                    "figure", "--s-range", "2:3", "--N", "4", "--trials", "1",
+                    "--samples", "300", "--max-length", "6",
+                ],
+                {"estimate_z_inverse": 2, "estimate_bad_frequency": 3},
+            ),
+        ],
+        ids=["sample", "spectral", "figure"],
+    )
+    def test_subcommands_call_the_cli_names(self, argv, names, monkeypatch, tmp_path):
+        # a wrapper set on cli.<name> from outside is the function that runs
+        calls = {name: 0 for name in names}
+
+        def counting(name, fn):
+            def wrapper(config):
+                calls[name] += 1
+                return fn(config)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        assert run(argv + ["--seed", "1", "--out", str(tmp_path / "o")]) == 0
+        assert calls == names
 
 
 class TestSample:
@@ -443,6 +590,14 @@ class TestRadiusAndBounds:
 
     def test_bad_d_bound_is_usage_error(self):
         assert run(["radius", "--s", "2", "--a", "0.25", "--d-bound", "huh"]) == 2
+
+    @pytest.mark.parametrize("a", ["1e-300", "1e-200", "1e300", "5e307"])
+    def test_bounds_answers_where_radius_does(self, a, tmp_path, capsys):
+        assert run(["radius", "--s", "2", "--a", a]) == 0
+        z = capsys.readouterr().out.splitlines()[1].split()[2]
+        assert run(["bounds", "--s", "2", "--a", a, "--out", str(tmp_path / "b")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[2] == lines[2].split()[2] == z  # r_lower, r_upper
 
     def test_bounds_report_and_curve(self, tmp_path, capsys):
         out = tmp_path / "b"

@@ -90,6 +90,34 @@ class TestPredicates:
         )
         assert report.bad_count == expected > 0
 
+    @pytest.mark.parametrize("tests", [sampler.DEFAULT_TESTS, (sampler.TestKind.REDUCE_REORDER,)])
+    def test_cached_verdicts_match_word_oracle_across_chunks(self, monkeypatch, tests):
+        # small chunks: verdicts carry over from chunk to chunk, and with the
+        # exact stage alone the verdict dict (one chunk's worth) fills and
+        # is cleared
+        monkeypatch.setattr(sampler, "CHUNK", 256)
+        bases = list(F2F2.bases())
+        length, samples, seed = 8, 2000, 1000
+        weight = sampler._parity_weights(len(bases), length)
+        balanced_count = bad = 0
+        for chunk, start in enumerate(range(0, samples, 256)):
+            count = min(256, samples - start)
+            codes = sampler._draw_chunk(
+                rng.philox(seed, length, 0, chunk), count, length, len(bases), StringModel.VALID
+            )
+            balanced_count += int(sampler._balanced(codes, weight).sum())
+            idx, exps = decode(codes)
+            bad += sum(
+                is_bad(Word(F2F2, tuple(Letter(*bases[b], int(e)) for b, e in zip(i, x))))
+                for i, x in zip(idx, exps)
+            )
+        report = estimate_bad_frequency(SampleConfig(F2F2, length, samples, seed, tests=tests))
+        assert report.bad_count == bad > 0
+        parity = {sampler.TestKind.PARITY: samples - balanced_count}
+        exact_input = balanced_count if sampler.TestKind.PARITY in tests else samples
+        expected = {t: parity.get(t, exact_input - bad) for t in tests}
+        assert report.rejections == expected
+
 
 class TestSampling:
     def test_sample_string_models(self):
