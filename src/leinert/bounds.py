@@ -392,7 +392,8 @@ class BoundReport:
     first, as it can when B < 0.  Accounting for bad strings can only pull
     the estimate down from the trivially-decaying ideal, so it sits at or
     below r_upper, the minimization radius that ignores the decay term.
-    The two coincide for the trivial decay bound.
+    For the trivial decay bound both are the free radius, computed once, so
+    the gap is 0.
     """
 
     problem: RadiusProblem
@@ -414,6 +415,11 @@ class BoundReport:
 def bound_report(problem: RadiusProblem) -> BoundReport:
     r_upper, theta = woess_radius(problem.uniform_weights)
     r_lower = min(radius_from_discriminant(problem), g_pole(problem))
+    if problem.d_bound.kind is DKind.ZERO:
+        # r_lower is then the closed-form free radius, the number the
+        # minimum approximates: taking both would report the rounding
+        # difference of two computations of one radius as a gap
+        r_upper = r_lower
     return BoundReport(problem=problem, r_lower=r_lower, r_upper=r_upper, theta=theta)
 
 

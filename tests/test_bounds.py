@@ -563,7 +563,32 @@ class TestReport:
     def test_zero_decay_report_collapses(self):
         problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.zero())
         report = bound_report(problem)
-        assert report.gap == pytest.approx(0.0, abs=1e-9)
+        assert report.r_lower == report.r_upper == free_radius(2, 0.25)
+        assert report.gap == 0
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_decay_gap_is_nonnegative(self, s):
+        d_bounds = [DBound.geometric_rate(0.5), DBound.geometric_rate(3.0)]
+        d_bounds += [DBound.radius_form(R) for R in (0.1, 0.3, 1.0, 2.0, 20.0)]
+        # a = 1e300 and 1e307 are left out: test_lower_root_far_below_R fails there
+        for a in (1e-300, 1e-200, 1e-160, 1e-100, 0.1, 1.0):
+            for d_bound in d_bounds:
+                assert bound_report(RadiusProblem(s=s, a=a, d_bound=d_bound)).gap >= 0
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="root below an ulp of z")
+    def test_lower_root_far_below_R(self):
+        # Newton's step from z cancels to 0 once the root is below an ulp of
+        # z, so the search bisects, and 200 halvings stop far above 2.9e-201
+        problem = RadiusProblem(s=2, a=1e200, d_bound=DBound.radius_form(2.0))
+        assert radius_from_discriminant(problem) == pytest.approx(free_radius(2, 1e200))
+
+    @pytest.mark.xfail(strict=True, reason="r_upper is not correctly rounded")
+    def test_decay_gap_below_an_ulp_is_nonnegative(self):
+        # R = 2 is far past the free radius 1.4e-21, so the decay moves the
+        # lower root by less than an ulp: r_lower is the correctly rounded
+        # free radius, and the Newton minimum r_upper reads 3 ulps under it
+        report = bound_report(RadiusProblem(s=7, a=1e20, d_bound=DBound.radius_form(2.0)))
+        assert report.gap >= 0
 
     def test_curve_points_default_rule(self):
         rows = curve_points(range(2, 6))

@@ -365,23 +365,97 @@ RADIUS_STDOUT = [
 ]
 
 
+def run_python(script, *args, blas_threads=None):
+    """Run script in a fresh interpreter importing this package, with
+    OPENBLAS_NUM_THREADS set to blas_threads, or unset when that is None."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_exact_subcommands_run_without_numpy(tmp_path):
     exact = [(argv, name, sha) for argv, name, sha in PINNED_BYTES if argv[0] != "figure"]
     assert {argv[0] for argv, _, _ in exact} == {"census", "verify-series", "bounds"}
     jobs = [(argv, name) for argv, name, _ in exact] + [(argv, None) for argv, _ in RADIUS_STDOUT]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE, json.dumps(jobs), str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    stdout = run_python(NUMPY_FREE, json.dumps(jobs), str(tmp_path))
     expected = [[0, sha] for _, _, sha in exact] + [[0, text] for _, text in RADIUS_STDOUT]
-    assert json.loads(proc.stdout) == expected
+    assert json.loads(stdout) == expected
+
+
+# the environment around a CLI run: before it, whether the run loaded numpy,
+# and after it; with no argument, import alone
+BLAS_ENV = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+
+import leinert, leinert.cli as cli
+
+seen = [os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]
+if len(sys.argv) > 1:
+    argv = ["spectral", "--s", "2", "--N", "8", "--trials", "1", "--seed", "0"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.run(argv + ["--out", sys.argv[1]]) == 0
+    seen.append("numpy" in sys.modules)
+seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(json.dumps(seen))
+"""
+
+
+# spectral --s 2 and --s 1 through the CLI, keeping each run's estimate
+SPECTRAL_RUNS = """
+import io, json
+from contextlib import redirect_stdout
+
+import leinert.cli as cli
+
+solve, estimates = cli.estimate_z_inverse, []
+cli.estimate_z_inverse = lambda config: estimates.append(solve(config)) or estimates[-1]
+with redirect_stdout(io.StringIO()):
+    for s in ("2", "1"):
+        assert cli.run(["spectral", "--s", s, "--seed", "0"]) == 0
+print(json.dumps([{"norms": e.norms, "iterations": e.iterations} for e in estimates]))
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("given, used", [(None, "1"), ("2", "2")])
+    def test_cli_runs_blas_on_one_thread_unless_told(self, given, used, tmp_path):
+        # numpy loads only inside the run, after cli.run has set the variable
+        stdout = run_python(BLAS_ENV, str(tmp_path), blas_threads=given)
+        assert json.loads(stdout) == [given, False, True, used]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["blas_threads_env"] == used
+
+    def test_import_leaves_the_environment_alone(self):
+        assert json.loads(run_python(BLAS_ENV)) == [None, False, None]
+
+    def test_manifest_records_it_only_where_numpy_runs(self, tmp_path):
+        out = tmp_path / "c"
+        assert run(["census", "--group", "Z3", "--max-length", "4", "--out", str(out)]) == 0
+        assert "blas_threads_env" not in json.loads((out / "manifest.json").read_text())
+        out = tmp_path / "s"
+        argv = ["sample", "--group", "F2xF2", "--max-length", "4", "--samples", "100"]
+        assert run(argv + ["--seed", "1", "--out", str(out)]) == 0
+        assert "blas_threads_env" in json.loads((out / "manifest.json").read_text())
+
+    def test_norms_do_not_depend_on_the_thread_count(self):
+        # both solvers at the CLI's defaults (N=75, 4 trials), seed 0: Lanczos
+        # for s = 2, eigenvalues for s = 1
+        one_thread, two_threads = (
+            json.loads(run_python(SPECTRAL_RUNS, blas_threads=threads)) for threads in "12"
+        )
+        assert len(one_thread) == len(two_threads) == 2
+        for one, two in zip(one_thread, two_threads):
+            assert one["iterations"] == two["iterations"]
+            assert one["norms"] == pytest.approx(two["norms"], rel=1e-12, abs=0)
 
 
 class TestLazyNames:
@@ -598,6 +672,13 @@ class TestRadiusAndBounds:
         assert run(["bounds", "--s", "2", "--a", a, "--out", str(tmp_path / "b")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[2] == lines[2].split()[2] == z  # r_lower, r_upper
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_trivial_bound_has_no_gap(self, s, capsys):
+        # r_lower and r_upper are one number there, not two roundings of it
+        for a in ("1e-300", "1e-200", "1e-160", "1e-100", "0.1", "1", "1e300", "1e307"):
+            assert run(["bounds", "--s", str(s), "--a", a]) == 0
+            assert capsys.readouterr().out.splitlines()[3] == "gap = 0 absolute, 0 relative"
 
     def test_bounds_report_and_curve(self, tmp_path, capsys):
         out = tmp_path / "b"
