@@ -311,7 +311,9 @@ def _cubic_root(coeffs: tuple, R: float) -> float | None:
         return None
     lo, hi = 0.0, R
     z = 0.5 * R
-    for _ in range(200):
+    # Newton's step cancels to 0 once the root is below an ulp of z, so the
+    # search may only bisect: 2,100 halvings take any finite R below 2^-1074
+    for _ in range(2100):
         f = ((k3 * z + k2) * z + k1) * z + k0
         df = (3 * k3 * z + 2 * k2) * z + k1
         if not (math.isfinite(f) and math.isfinite(df)):

@@ -1,22 +1,23 @@
-"""Exact enumeration of bad strings and the counting identities around them.
+"""Exact enumeration of bad strings, the class walk it shares with `series`,
+and the counting identities around them.
 
 Exponents are forced by the alternation pattern, so valid strings are base
 sequences with adjacent bases distinct, and a prefix evaluates through
-per-factor cancellation stacks.  The census lumps prefixes into classes, as
-the walk DP in `series` does (Kemeny-Snell lumpability; Flajolet-Sedgewick,
-Analytic Combinatorics, ch. V, on transfer matrices).  A class holds each
-factor's stack as its string of exponent signs, the factor of the last
-letter, and whether that letter pushed or popped.  The class alone fixes how
-many letters lead to each next class, so an integer DP over classes counts
-the bad strings exactly: they are the strings that end with every stack
-empty.
-
-Two prunes keep the search small.  A forward sweep drops every class whose
-stacks hold more letters than remain to be placed, since each letter can
-shorten them by at most one; that implies the abelianization (parity) bound
-and more.  A backward sweep then keeps only the classes that still complete
-to a bad string, and the depth-first search that lists the bad strings
-follows those classes, so it visits only prefixes of bad strings.
+per-factor cancellation stacks.  The census and the walk DP in `series`
+lump prefixes into classes (Kemeny-Snell lumpability; Flajolet-Sedgewick,
+Analytic Combinatorics, ch. V, on transfer matrices) and step them with one
+walk, `_walk`.  A class is one int: a tag, each factor's stack as a bit
+code of exponent signs, and the total stack length on top.  Each caller
+passes the rule that moves a stack, and the walk drops every class whose
+stacks hold more letters than remain to be placed, since a letter shortens
+them by at most one; that implies the abelianization (parity) bound and
+more.  The census tag is the last letter and its rule bars that letter's
+inverse, so the walk counts valid strings, and the bad ones end with every
+stack empty.  The `series` rule has no bar and counts every closed walk;
+Grigorchuk's cogrowth formula ties the two counts exactly.  A backward
+sweep keeps the classes that still complete to a bad string, and the
+depth-first search that lists the bad strings follows them, so it visits
+only prefixes of bad strings.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
@@ -92,68 +93,123 @@ def _check_budget(signature: GroupSignature, length: int, budget: int) -> None:
         )
 
 
-def _class_tables(
-    signature: GroupSignature, length: int
-) -> tuple[int, list, int | None]:
+MAX_STATES = 2_000_000
+
+
+def _class(width: int, codes, tag: int = 0) -> int:
+    """Pack the tag, one stack code per factor and the total stack length
+    into a class, each in a field of `width` bits, lowest first."""
+    fields = [tag, *codes, sum(code.bit_length() - 1 for code in codes)]
+    return sum(field << width * i for i, field in enumerate(fields))
+
+
+def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain,
+          masked=None, moves=None):
+    """Run the lumped walk from the class `start` of weight `weight` over
+    the steps `times`, yielding after each step the classes' integer
+    numerators and their common scale weight / q^k (k steps taken); `masked`
+    is dropped after each yield.
+
+    Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
+    `rule(f, code, tag, bit)` gives the moves of factor f's stack `code` in a
+    class tagged `tag` under a letter of exponent bit `bit`, as triples of
+    child code, child tag and how many generators of f lead there; `moves`
+    caches them by that key as (class delta, weight) pairs, a push's delta
+    positive.  The lazy loop fires whenever the walk has weight at the
+    identity.  After step m only the classes whose stacks hold at most
+    times[-1] - m letters stay: the others cannot get home by the last step.
+    MAX_STATES bounds the classes kept after this prune at each step.
+    """
+    q = math.lcm(alpha0.denominator, *(rate.denominator for rate in rates))
+    ints = [int(rate * q) for rate in rates]
+    lazy = int(alpha0 * q)
+    factors = range(signature.num_factors)
+    home = _class(width, [1 for _ in factors])
+    low = (1 << width) - 1
+    shifts = [width * (f + 1) for f in factors]
+    top = width * (len(factors) + 1)
+    moves = {} if moves is None else moves
+    dist = {start: 1}
+    for m in times:
+        bit = int((m % 2 == 0) != first_plain)
+        room = times[-1] - m
+        nxt: dict[int, int] = {}
+        for state, wt in dist.items():
+            tag = state & low
+            for f, shift in enumerate(shifts):
+                code = state >> shift & low
+                key = (f, code, tag, bit)
+                out = moves.get(key)
+                if out is None:
+                    out = moves[key] = [
+                        ((child - code << shift) + child_tag - tag + (2 * (child > code) - 1 << top),
+                         ints[f] * ways)
+                        for child, child_tag, ways in rule(*key) if ints[f] and ways
+                    ]
+                for delta, w in out:
+                    ns = state + delta
+                    if ns >> top <= room:
+                        nxt[ns] = nxt.get(ns, 0) + wt * w
+        if lazy and dist.get(home):
+            nxt[home] = nxt.get(home, 0) + dist[home] * lazy
+        if len(nxt) > MAX_STATES:
+            raise BudgetExceededError(f"walk on {signature}, step {m}", len(nxt), MAX_STATES)
+        weight /= q
+        yield nxt, weight
+        nxt.pop(masked, None)
+        dist = nxt
+
+
+def _class_tables(signature: GroupSignature, length: int) -> tuple[int, list, int | None]:
     """The lumped class DP of the valid strings of one length.
 
-    A class is `(codes, last)`: codes[f] is factor f's stack as a bit string
-    of exponent signs (1 for +1) behind a leading 1, and last is
-    2 * factor + pushed for the last letter (-1 before the first).  With e
-    the next exponent, a factor whose top has sign -e can cancel it with one
-    generator and append any other.  The last letter's base is barred: after
-    a push in f, f only appends, in rank - 1 ways; after a pop in f, the new
-    top never has the barred generator, so f keeps its cancel if it has one
-    and loses one append.
-
-    The forward sweep counts the prefixes of each class, dropping every
-    class whose stacks outgrow the letters still to come; the bad count is
-    the count at the last depth, where every stack is empty.  The backward
-    sweep numbers the classes that still complete to a bad string.  Returns
-    (bad, rows, root): rows[c] lists `(factor, pop child, push child)` for
-    every factor with a live move out of class c, a dead move as None, and
-    root is the class of the empty prefix, None when no bad string exists.
+    The tag is the last letter, 2 * factor + pushed + 1 (0 before the
+    first), and the rule bars its base: after a push in f, f only appends,
+    in rank - 1 ways; after a pop in f, the new top never has the barred
+    generator, so f keeps its cancel if it has one and loses one append.
+    The forward sweep is `_walk` at unit weights, opening with an inverse
+    letter, and the bad count is its count at the last step, where every
+    stack is empty.  The backward sweep reads the walk's moves and numbers
+    the classes that still complete to a bad string.  Returns (bad, rows,
+    root): rows[c] lists `(factor, pop child, push child)` for every factor
+    with a live move out of class c, a dead move as None, and root is the
+    class of the empty prefix, None when no bad string exists.
     """
     ranks = signature.factors
-    start = ((1,) * len(ranks), -1)
-    counts = {start: 1}
-    levels = []  # per depth: class -> its (factor, pushed, child) moves
-    for depth in range(length):
-        bit = depth % 2
-        room = length - depth - 1
-        following: dict = defaultdict(int)
-        moves = {}
-        for (codes, last), count in counts.items():
-            stacked = sum(code.bit_length() for code in codes) - len(codes)
-            out = moves[codes, last] = []
-            for f, rank in enumerate(ranks):
-                code = codes[f]
-                cancels = int(code > 1 and code & 1 != bit and last != 2 * f + 1)
-                appends = rank - cancels - (last // 2 == f)
-                for pushed, ways, child_code in (
-                    (0, cancels, code >> 1),
-                    (1, appends, 2 * code + bit),
-                ):
-                    if ways and (not pushed or stacked < room):
-                        child = (codes[:f] + (child_code,) + codes[f + 1:], 2 * f + pushed)
-                        following[child] += count * ways
-                        out.append((f, pushed, child))
-        levels.append(moves)
-        counts = following
-    bad = sum(counts.values())
 
-    rows: list = [()] * len(counts)
-    ids = dict(zip(counts, range(len(counts))))
-    for moves in reversed(levels):
+    def bar(f, code, tag, bit):
+        cancels = int(code > 1 and code & 1 != bit and tag != 2 * f + 2)
+        appends = ranks[f] - cancels - ((tag - 1) >> 1 == f)
+        return ((code >> 1, 2 * f + 1, cancels), (2 * code + bit, 2 * f + 2, appends))
+
+    # each field holds a stack of up to `length` letters and the tag's 2 * factors
+    width = length + len(ranks)
+    start = _class(width, [1] * len(ranks))
+    moves: dict = {}
+    steps = _walk(signature, bar, [1] * len(ranks), 0, width, start, 1,
+                  range(1, length + 1), False, moves=moves)
+    layers = [{start: 1}] + [nums for nums, _ in steps]
+    bad = sum(layers[-1].values())
+
+    low = (1 << width) - 1
+    rows: list = [()] * len(layers[-1])
+    ids = dict(zip(layers[-1], range(len(rows))))
+    shifts = [width * (f + 1) for f in range(len(ranks))]
+    for depth in range(length - 1, -1, -1):
+        bit = depth % 2
         live = {}
-        for key, out in moves.items():
-            row: dict = {}
-            for f, pushed, child in out:
-                if child in ids:
-                    row.setdefault(f, [None, None])[pushed] = ids[child]
+        for state in layers[depth]:
+            tag = state & low
+            row = []
+            for f, shift in enumerate(shifts):
+                children = [None, None]
+                for delta, _ in moves[f, state >> shift & low, tag, bit]:
+                    children[delta > 0] = ids.get(state + delta)
+                if children != [None, None]:
+                    row.append((f, *children))
             if row:
-                live[key] = len(rows)
-                rows.append(tuple((f, pop, push) for f, (pop, push) in row.items()))
+                live[state] = len(rows)
+                rows.append(tuple(row))
         ids = live
     return bad, rows, ids.get(start)
 

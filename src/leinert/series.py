@@ -19,27 +19,28 @@ verify_recurrences are first-return decompositions of these quantities; in
 the Leinert cases they hold exactly, and where bad strings exist the
 detour terms pick up exactly the kernel-string weight.
 
-The walk runs on lumped states (Kemeny and Snell's lumpable chains).  The
-generators of a factor share one weight, so only each factor's string of
-exponent signs matters: from a word whose last sign opposes the step, one
-of the factor's s_i generators cancels and s_i - 1 append, else all s_i
-append.  A class holds its words' summed weight and steps with these
-multiplicities.  The excursion and masked walks keep apart a first letter
-that is the tracked generator x to the tracked sign (multiplicity 1, the
-other s_i - 1 appends going unmarked), so the opening letter x^-1 and the
-masked x are one-word classes, and absorbing, masking and the detour split
-act on them exactly.  Per-generator tables depend only on the factor.
+The walk runs on lumped states (Kemeny and Snell's lumpable chains),
+stepped by `census._walk`, the class walk the census runs with its own
+move rule.  The generators of a factor share one weight, so only each
+factor's string of exponent signs matters: from a word whose last sign
+opposes the step, one of the factor's s_i generators cancels and s_i - 1
+append, else all s_i append.  A class holds its words' summed weight and
+steps with these multiplicities.  This rule has no backtracking bar, so at
+a = 1 and alpha0 = 0 even_returns counts every closed walk.  The excursion
+and masked walks keep apart a first letter that is the tracked generator x
+to the tracked sign (multiplicity 1, the other s_i - 1 appends going
+unmarked), so the opening letter x^-1 and the masked x are one-word
+classes, and absorbing, masking and the detour split act on them exactly.
+Per-generator tables depend only on the factor.
 
-A class is one int, in the census's encoding: each factor's sign string is
-a bit code behind a leading 1 (1 for +1, the top letter lowest), the codes
-sit in fixed-width fields, bit 0 flags a tracked first letter, and the bits
-above the last field count the letters on all the stacks.  Every
-table but layer_mass is a return weight, and a letter shortens the stacks
-by at most one, so after step m a walk keeps only the classes whose stacks
-hold at most horizon - m letters: the others cannot get home in time.
-layer_mass needs no classes.  Every class sends out the letter weight
-l = sum_i s_i rate_i, and the identity also alpha0, so
-mass_m = l mass_(m-1) + alpha0 returns_(m-1).
+A class is one int, packed by `census._class`: the tag, here the flag of a
+tracked first letter, each factor's sign-string code, and the count of
+letters on all the stacks.  Every table but layer_mass is a return weight,
+and a letter shortens the stacks by at most one, so after step m a walk
+keeps only the classes whose stacks hold at most horizon - m letters: the
+others cannot get home in time.  layer_mass needs no classes.  Every class
+sends out the letter weight l = sum_i s_i rate_i, and the identity also
+alpha0, so mass_m = l mass_(m-1) + alpha0 returns_(m-1).
 
 The class weights are Python ints over one common denominator.  With q the
 lcm of the denominators of alpha0 and the factor rates, every step weight
@@ -55,14 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import lcm
 from typing import Mapping
 
-from .census import BudgetExceededError
+from .census import _class, _walk
 from .groups import GroupSignature
-
-MAX_STATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -142,94 +139,34 @@ def _factor_rates(signature: GroupSignature, weights: WalkWeights) -> list[Fract
     return rates
 
 
-def _moves(code, bit, rank, split, tracked):
-    """Successor stacks of one factor's stack `code` under a letter of
-    exponent bit `bit` (1 for +1).
+def _moves(ranks, mark):
+    """The walk's move rule, tracking the first letter `mark` =
+    (factor, sign) if given.
 
-    Each triple is a child code, its tracked flag, and how many of the rank
-    choices of generator lead a word of this class into it.  Cancelling the
-    tracked letter clears the flag; an empty stack with `split` set splits
+    The tag flags that the marked factor's bottom letter is the tracked
+    generator to the tracked sign.  A letter of exponent bit `bit` (1 for
+    +1) on factor f's stack `code` cancels its top in one way if the signs
+    oppose and appends in the other ways.  Emptying the marked factor clears
+    the flag; a letter of the tracked sign on the empty marked factor splits
     its appends into the tracked generator and the rest.
     """
-    push = 2 * code + bit
-    if code > 1 and code & 1 != bit:
-        pop = code >> 1
-        return ((pop, int(tracked and pop > 1), 1), (push, tracked, rank - 1))
-    if split and code == 1:
-        return ((push, 1, 1), (push, 0, rank - 1))
-    return ((push, tracked, rank),)
 
+    def rule(f, code, tag, bit):
+        push = 2 * code + bit
+        if code > 1 and code & 1 != bit:
+            pop = code >> 1
+            return ((pop, int(tag and (pop > 1 or f != mark[0])), 1), (push, tag, ranks[f] - 1))
+        if mark == (f, 2 * bit - 1) and code == 1:
+            return ((push, 1, 1), (push, 0, ranks[f] - 1))
+        return ((push, tag, ranks[f]),)
 
-def _class(width: int, codes, tracked: int = 0) -> int:
-    """Pack one stack code per factor, then the total stack length, and the
-    tracked flag into a class."""
-    fields = [*codes, sum(code.bit_length() - 1 for code in codes)]
-    return tracked + sum(field << 1 + width * f for f, field in enumerate(fields))
+    return rule
 
 
 def _letter(signature: GroupSignature, width: int, factor: int, sign: int) -> int:
     """The class holding just the tracked generator of `factor` to `sign`."""
     codes = [2 + (sign > 0) if f == factor else 1 for f in range(signature.num_factors)]
     return _class(width, codes, 1)
-
-
-def _walk(signature, rates, alpha0, width, start, weight, times, first_plain, mark=None, masked=None):
-    """Run the lumped walk from the class `start` of weight `weight` over
-    the steps `times`, yielding after each step the classes' integer
-    numerators and their common scale weight / q^k (k steps taken); `masked`
-    is dropped after each yield.
-
-    Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
-    `mark` = (factor, sign) keeps apart a first letter of that factor that
-    is the tracked generator to that sign.  The lazy loop fires whenever the
-    walk has weight at the identity.  After step m only the classes whose
-    stacks hold at most times[-1] - m letters stay: the others cannot get
-    home by the last step.  MAX_STATES bounds the classes kept after this
-    prune at each step.
-    """
-    q = lcm(alpha0.denominator, *(rate.denominator for rate in rates))
-    ints = [int(rate * q) for rate in rates]
-    lazy = int(alpha0 * q)
-    ranks = signature.factors
-    home = _class(width, [1] * len(ranks))
-    low = (1 << width) - 1
-    shifts = [1 + width * f for f in range(len(ranks))]
-    top = 1 + width * len(ranks)
-    marked = mark[0] if mark else None
-    moves = {}
-    dist = {start: 1}
-    for m in times:
-        bit = int((m % 2 == 0) != first_plain)
-        room = times[-1] - m
-        nxt: dict[int, int] = {}
-        for state, wt in dist.items():
-            codes = [state >> shift & low for shift in shifts]
-            for f, code in enumerate(codes):
-                tracked = state & 1 if f == marked else 0
-                key = (f, code, tracked, bit)
-                if key not in moves:
-                    split = mark == (f, 2 * bit - 1)
-                    moves[key] = [
-                        (
-                            (child - code << shifts[f]) + flag - tracked
-                            + (2 * (child > code) - 1 << top),
-                            ints[f] * ways,
-                        )
-                        for child, flag, ways in _moves(code, bit, ranks[f], split, tracked)
-                        if ints[f] and ways
-                    ]
-                for delta, w in moves[key]:
-                    ns = state + delta
-                    if ns >> top <= room:
-                        nxt[ns] = nxt.get(ns, 0) + wt * w
-        if lazy and dist.get(home):
-            nxt[home] = nxt.get(home, 0) + dist[home] * lazy
-        if len(nxt) > MAX_STATES:
-            raise BudgetExceededError(f"walk on {signature}, step {m}", len(nxt), MAX_STATES)
-        weight /= q
-        yield nxt, weight
-        nxt.pop(masked, None)
-        dist = nxt
 
 
 def dp_tables(
@@ -249,9 +186,12 @@ def dp_tables(
     rates = _factor_rates(signature, weights)
     # a kept stack holds at most `steps` letters, so its code fits this width
     width = steps + 1
-    walk = partial(_walk, signature, rates, alpha0, width)
     home = _class(width, [1] * signature.num_factors)
     one = Fraction(1)
+
+    def walk(start, weight, times, first_plain, mark=None, masked=None):
+        rule = _moves(signature.factors, mark)
+        return _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain, masked)
 
     def home_weights(*args):
         """The weight at home after each step of a walk from home."""

@@ -570,17 +570,19 @@ class TestReport:
     def test_decay_gap_is_nonnegative(self, s):
         d_bounds = [DBound.geometric_rate(0.5), DBound.geometric_rate(3.0)]
         d_bounds += [DBound.radius_form(R) for R in (0.1, 0.3, 1.0, 2.0, 20.0)]
-        # a = 1e300 and 1e307 are left out: test_lower_root_far_below_R fails there
+        # a = 1e300 and 1e307 are left out: there the gap can read an ulp
+        # below 0 (test_decay_gap_below_an_ulp_is_nonnegative), and at 1e307
+        # c R^2 overflows a float, so no discriminant root is found
         for a in (1e-300, 1e-200, 1e-160, 1e-100, 0.1, 1.0):
             for d_bound in d_bounds:
                 assert bound_report(RadiusProblem(s=s, a=a, d_bound=d_bound)).gap >= 0
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="root below an ulp of z")
-    def test_lower_root_far_below_R(self):
+    @pytest.mark.parametrize("a", [1e150, 1e200, 1e300])
+    def test_lower_root_far_below_R(self, a):
         # Newton's step from z cancels to 0 once the root is below an ulp of
-        # z, so the search bisects, and 200 halvings stop far above 2.9e-201
-        problem = RadiusProblem(s=2, a=1e200, d_bound=DBound.radius_form(2.0))
-        assert radius_from_discriminant(problem) == pytest.approx(free_radius(2, 1e200))
+        # z, so the search bisects all the way down (to 2.9e-301 at a = 1e300)
+        problem = RadiusProblem(s=2, a=a, d_bound=DBound.radius_form(2.0))
+        assert radius_from_discriminant(problem) == pytest.approx(free_radius(2, a), rel=1e-15)
 
     @pytest.mark.xfail(strict=True, reason="r_upper is not correctly rounded")
     def test_decay_gap_below_an_ulp_is_nonnegative(self):

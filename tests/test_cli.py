@@ -222,6 +222,13 @@ class TestCensus:
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "census.csv").read_bytes() == (b / "census.csv").read_bytes()
 
+    def test_class_cap_is_budget_failure(self, monkeypatch, capsys):
+        # the census runs the series walk, so the walk's class cap binds it too
+        monkeypatch.setattr("leinert.census.MAX_STATES", 10)
+        assert run(["census", "--group", "F2xF2", "--max-length", "12"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("budget exceeded: walk on F2xF2, step ")
+
     def test_duration_times_the_run(self, tmp_path, monkeypatch):
         def slow_census(*args, **kwargs):
             time.sleep(0.2)
@@ -617,7 +624,7 @@ class TestVerifySeries:
     def test_budget_failure_is_3(self, monkeypatch, capsys):
         # the budget counts the classes that can still get home, and at
         # n_max 3 no step keeps more than 10 of them
-        monkeypatch.setattr("leinert.series.MAX_STATES", 10)
+        monkeypatch.setattr("leinert.census.MAX_STATES", 10)
         assert run(["verify-series", "--group", "F2xF2", "--n-max", "5"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("budget exceeded: walk on F2xF2")

@@ -21,6 +21,7 @@ from leinert import (
     generating_functions,
     normal_form,
     parse_signature,
+    take_census,
     verify_recurrences,
 )
 from leinert.cli import bundle_to_json, tables_to_json
@@ -337,6 +338,49 @@ class TestReferenceOracle:
         sig = GroupSignature(tuple(ranks))
         weights = norm_weights(sig, a, alpha0)
         assert dp_tables(sig, weights, n_max) == reference_dp_tables(sig, weights, n_max)
+
+
+class TestCogrowth:
+    """The walk under the series rule and under the census rule, tied by a theorem.
+
+    Grigorchuk's cogrowth formula, in the series form Bartholdi gives for
+    (q+1)-regular graphs: with A(t) the closed walks (even_returns at
+    a = 1, alpha0 = 0) and B(u) the closed non-backtracking walks (the bad
+    strings, and bad_0 = 1), B(u) = (1 - u^2) / (1 + q u^2) A(u / (1 + q u^2)),
+    q the generator count less one.  The alternating walk is the walk on a
+    bipartite graph of degree q + 1 whose backtracks are the cancelling
+    neighbour pairs of one base, so the formula holds coefficient by
+    coefficient, exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "group, length",
+        [
+            ("F2xF2", 12),
+            ("F4", 10),
+            ("F1xF3", 10),
+            ("F2xF3", 10),
+            ("F1xF1", 10),
+            ("Z3", 10),
+            ("F2xF2xF2", 8),
+        ],
+    )
+    def test_bad_counts_from_closed_walks(self, group, length):
+        sig = parse_signature(group)
+        q = sig.total_generators - 1
+        census = take_census(sig, range(2, length + 1, 2))
+        bad = [1] + [census.entries[l].bad if l % 2 == 0 else 0 for l in range(1, length + 1)]
+        returns = dp_tables(sig, WalkWeights.uniform(sig, 1), length // 2).even_returns
+
+        one = Series.constant(1, length)
+        u_squared = Series.monomial(1, 2, length)
+        inverse = (one + u_squared.scale(q)).reciprocal()
+        # A at t = u / (1 + q u^2), by Horner's rule in t^2
+        t_squared = u_squared * inverse * inverse
+        composed = Series.constant(0, length)
+        for count in reversed(returns):
+            composed = composed * t_squared + Series.constant(count, length)
+        assert (one - u_squared) * inverse * composed == Series(bad)
 
 
 class TestSeriesArithmetic:
