@@ -265,11 +265,14 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     without adding a root in (0, R).  Each cubic is -R^2 < 0 at 0 and
     (2s-1)R^2 > 0 at R, and has exactly one root there: the minus sign gives
     the lower crossing, the plus sign the upper one, and no real G branch
-    exists between them.  A root is kept only if it still lies in (0, R)
-    after rounding, so once R is large against 1/c the upper root, which
-    rounds to R, drops out.  At an extreme R the float coefficients overflow
-    or lose their R^2 terms; a solve that then finds no lower root raises
-    ConvergenceError.
+    exists between them.  The lower root also has cz < 1, since D > 0, so it
+    lies below min(1/c, R); each cubic is solved on that scale (see
+    _cubic_root), which keeps its float coefficients in range however large
+    c R^2 is.  A root is kept only if it still lies in (0, R) after
+    rounding, so once R is large against 1/c the upper root, which rounds to
+    R, drops out.  ConvergenceError is raised when the lower root rounds
+    away too, and when R^2 is not a nonzero float: the decay term
+    z^2 / (R^2 - z^2) is evaluated in floats everywhere else.
     """
     s, a = problem.s, problem.a
     if problem.d_bound.kind is DKind.ZERO:
@@ -278,59 +281,52 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     c = Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0))
     R2 = Fraction(R) ** 2
     roots = []
-    for sign in (-1, 1):
+    for sign in (-1, 1) if 0 < R * R < math.inf else ():
         k3, k2, k1, k0 = sign * c, 2 * s, -sign * c * R2, -R2
-        z = _cubic_root((k3, k2, k1, k0), R)
-        if z is not None:
-            # one Newton step in exact arithmetic rounds the root correctly
-            z = Fraction(z)
-            f = ((k3 * z + k2) * z + k1) * z + k0
-            z = float(z - f / ((3 * k3 * z + 2 * k2) * z + k1))
-            if 0 < z < R:
-                roots.append(z)
-        if not roots:
-            raise ConvergenceError(f"no discriminant root found in (0, R) for R = {R}")
-    return sorted(roots)
-
-
-def _cubic_root(coeffs: tuple, R: float) -> float | None:
-    """The root in (0, R) of the cubic with the given coefficients (highest
-    first), which is negative at 0 and positive at R, in float arithmetic;
-    None when the float coefficients cannot carry it: R^2 rounds to 0 or
-    overflows, or so does a value of the cubic.
-
-    Newton steps, kept inside the sign bracket by bisection, until the
-    iterate repeats; the bracket ends are never evaluated, since near a
-    large R the float sum of the cubic's terms is mostly rounding.
-    """
-    try:
-        k3, k2, k1, k0 = (float(k) for k in coeffs)
-    except OverflowError:
-        return None
-    if k0 == 0:
-        return None
-    lo, hi = 0.0, R
-    z = 0.5 * R
-    # Newton's step cancels to 0 once the root is below an ulp of z, so the
-    # search may only bisect: 2,100 halvings take any finite R below 2^-1074
-    for _ in range(2100):
+        z = _cubic_root((k3, k2, k1, k0), Fraction(R) if sign > 0 else min(1 / c, Fraction(R)))
+        # one Newton step in exact arithmetic rounds the root correctly
         f = ((k3 * z + k2) * z + k1) * z + k0
-        df = (3 * k3 * z + 2 * k2) * z + k1
-        if not (math.isfinite(f) and math.isfinite(df)):
-            return None
+        z = float(z - f / ((3 * k3 * z + 2 * k2) * z + k1))
+        if not 0 < z < R:
+            break
+        roots.append(z)
+    if not roots:
+        raise ConvergenceError(f"no discriminant root found in (0, R) for R = {R}")
+    return roots
+
+
+def _cubic_root(coeffs: tuple, scale: Fraction) -> Fraction:
+    """The root in (0, scale) of the cubic with the given exact coefficients
+    (highest first), which is negative at 0 and has no other root there.
+
+    The cubic is rewritten in u = z / scale and divided by its largest
+    coefficient, in exact arithmetic, so its float coefficients are at most
+    1 and only ones too small to matter round to 0.  Newton steps on u, kept
+    inside the sign bracket (0, 1) by bisection, run until the iterate
+    repeats; the bracket ends are never evaluated.
+    """
+    scaled = [k * scale ** (3 - n) for n, k in enumerate(coeffs)]
+    top = max(abs(k) for k in scaled)
+    k3, k2, k1, k0 = (float(k / top) for k in scaled)
+    lo, hi = 0.0, 1.0
+    u = 0.5
+    # the cap only bounds bisection, which pins a root above 2^-48 to an ulp
+    for _ in range(100):
+        f = ((k3 * u + k2) * u + k1) * u + k0
         if f == 0:
-            return z
+            break
         if f < 0:
-            lo = z
+            lo = u
         else:
-            hi = z
-        step = z - f / df if df else z
+            hi = u
+        df = (3 * k3 * u + 2 * k2) * u + k1
+        step = u - f / df if df else u
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
-        if step == z:
+        if step == u:
             break
-        z = step
-    return z
+        u = step
+    return scale * Fraction(u)
 
 
 def radius_from_discriminant(problem: RadiusProblem) -> float:

@@ -31,7 +31,11 @@ and masked walks keep apart a first letter that is the tracked generator x
 to the tracked sign (multiplicity 1, the other s_i - 1 appends going
 unmarked), so the opening letter x^-1 and the masked x are one-word
 classes, and absorbing, masking and the detour split act on them exactly.
-Per-generator tables depend only on the factor.
+Per-generator tables depend only on the factor's rank and rate: swapping
+two factors that agree in both is an automorphism of the walk fixing the
+identity.  So dp_tables walks each class of such factors once and hands all
+its generators the same tuples, and verify_recurrences and
+generating_functions check each shared set of tables once.
 
 A class is one int, packed by `census._class`: the tag, here the flag of a
 tracked first letter, each factor's sign-string code, and the count of
@@ -176,7 +180,9 @@ def dp_tables(
 
     The generators of each factor must share one weight (ValueError
     otherwise): that symmetry is what lets the walk run on sign strings.
-    Per-generator tables then depend only on the factor and are shared.
+    Per-generator tables then depend only on the factor's rank and rate:
+    the excursion and masked walks run once per class of factors equal in
+    both, and every generator of the class holds the same tuple objects.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -210,11 +216,9 @@ def dp_tables(
     for at_home in returns[:-1]:
         mass.append(letters * mass[-1] + alpha0 * at_home)
 
-    excursions = {}
-    detours = {}
-    avoid_even = {}
-    avoid_odd = {}
-    for i0, rank in enumerate(signature.factors):
+    def factor_tables(i0):
+        """The excursion, detour and two avoiding tables of each generator
+        of factor i0."""
         # excursions open with the tracked inverse letter and are absorbed
         # at the identity.  The walk stands on the opening letter only after
         # odd steps, and the plain step that follows is its one way home:
@@ -231,12 +235,22 @@ def dp_tables(
         plain = (i0, 1)
         even = home_weights(range(1, steps - 1), True, plain, masked)
         odd = home_weights(range(1, steps), False, plain, masked)
+        # index 0 of the odd table is not an odd horizon
+        return tuple(first), tuple(detour), (one, *even), (zero, *odd)
+
+    # swapping two factors of equal rank and rate is an automorphism of the
+    # walk fixing home, so such factors share every table: walk one of them
+    by_class = {}
+    per_generator = {}
+    for i0, rank in enumerate(signature.factors):
+        key = (rank, rates[i0])
+        if key not in by_class:
+            by_class[key] = factor_tables(i0)
         for j in range(rank):
-            excursions[(i0, j)] = tuple(first)
-            detours[(i0, j)] = tuple(detour)
-            avoid_even[(i0, j)] = (one,) + tuple(even)
-            # index 0 is not an odd horizon
-            avoid_odd[(i0, j)] = (zero,) + tuple(odd)
+            per_generator[(i0, j)] = by_class[key]
+    excursions, detours, avoid_even, avoid_odd = (
+        {gen: four[k] for gen, four in per_generator.items()} for k in range(4)
+    )
 
     return ProbabilityTables(
         signature=signature,
@@ -264,8 +278,12 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if not self.coeffs:
+        coeffs = tuple(coeffs)
+        # the arithmetic below hands over Fractions already: keep them
+        if not all(type(c) is Fraction for c in coeffs):
+            coeffs = tuple(map(Fraction, coeffs))
+        self.coeffs = coeffs
+        if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
 
     @classmethod
@@ -346,8 +364,35 @@ def _return_gfs(tables: ProbabilityTables) -> tuple[Series, Series, Series]:
     h = list(g)
     g[0::2] = tables.even_returns
     h[1::2] = tables.lagged_returns[1:]
-    excursions = (Series(t) for t in tables.excursion_returns.values())
-    return Series(g), Series(h), sum(excursions, Series.constant(0, len(g) - 1))
+    # one Series per table object, times the generators sharing it
+    excursions = list(tables.excursion_returns.values())
+    total = Series.constant(0, len(g) - 1)
+    for table in {id(t): t for t in excursions}.values():
+        total = total + Series(table).scale(sum(t is table for t in excursions))
+    return Series(g), Series(h), total
+
+
+def _distinct_generators(tables: ProbabilityTables) -> list[tuple]:
+    """The (alpha, excursions, detours, avoiding even, avoiding odd) of the
+    generators, once per distinct set of objects.
+
+    dp_tables hands the generators of symmetric factors the same tuple
+    objects, and every residual is a maximum over generators, so checking
+    such a set once loses nothing.  Tables built anywhere else are separate
+    objects, and each is checked on its own.
+    """
+    zero = Fraction(0)
+    distinct = {}
+    for gen, f in tables.excursion_returns.items():
+        key = (
+            tables.weights.alpha.get(gen, zero),
+            f,
+            tables.detour_returns[gen],
+            tables.avoiding_even_returns[gen],
+            tables.avoiding_odd_returns[gen],
+        )
+        distinct.setdefault(tuple(map(id, key)), key)
+    return list(distinct.values())
 
 
 def _largest(diffs, first: int) -> Fraction:
@@ -377,17 +422,14 @@ def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
 
     def times_z(series: Series, powers: int = 1) -> Series:
         # unlike shift, keeps every coefficient: the degree grows by `powers`
-        return Series((0,) * powers + series.coeffs)
+        return Series((Fraction(0),) * powers + series.coeffs)
 
     avoid_even, avoid_odd, split = [], [], []
-    for gen, table in tables.excursion_returns.items():
-        f = Series(table)
-        A = Series(tables.avoiding_even_returns[gen])
-        B = Series(tables.avoiding_odd_returns[gen])
-        alpha = tables.weights.alpha.get(gen, Fraction(0))
+    for alpha, f, d, A, B in _distinct_generators(tables):
+        f, A, B = Series(f), Series(A), Series(B)
         avoid_even.append(A - (F - f) * A - times_z(B).scale(alpha0))
         avoid_odd.append(B - F * B - times_z(A).scale(alpha0))
-        split.append(f - times_z(A, 2).scale(alpha * alpha) - Series(tables.detour_returns[gen]))
+        split.append(f - times_z(A, 2).scale(alpha * alpha) - Series(d))
     return {
         "even_return": _largest([G - F * G - times_z(H).scale(alpha0)], 2),
         "lagged_return": _largest([H - F * H - times_z(G).scale(alpha0)], 1),
@@ -433,9 +475,15 @@ def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
     zero = Fraction(0)
     returns_gf, lagged_gf, total = _return_gfs(tables)
 
+    built = {}
+
     def step_indexed(table) -> Series:
-        coeffs = list(table) + [zero] * (degree + 1 - len(table))
-        return Series(coeffs[: degree + 1])
+        # one Series per table object, shared by the generators holding it
+        series = built.get(id(table))
+        if series is None:
+            coeffs = list(table) + [zero] * (degree + 1 - len(table))
+            series = built[id(table)] = Series(coeffs[: degree + 1])
+        return series
 
     excursion_gf = {g: step_indexed(t) for g, t in tables.excursion_returns.items()}
     detour_gf = {g: step_indexed(t) for g, t in tables.detour_returns.items()}
@@ -452,10 +500,9 @@ def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
     worst_recip = max((abs(c) for c in recip_residual.coeffs), default=zero)
 
     worst_split = zero
-    for gen, f_series in excursion_gf.items():
-        alpha = tables.weights.alpha.get(gen, zero)
-        predicted = avoiding_even_gf[gen].shift(2).scale(alpha * alpha) + detour_gf[gen]
-        diff = f_series - predicted
+    for alpha, f, d, A, _ in _distinct_generators(tables):
+        predicted = step_indexed(A).shift(2).scale(alpha * alpha) + step_indexed(d)
+        diff = step_indexed(f) - predicted
         worst_split = max(worst_split, max(abs(c) for c in diff.coeffs))
 
     return SeriesBundle(

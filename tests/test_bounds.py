@@ -422,7 +422,8 @@ class TestDiscriminant:
 
     @pytest.mark.parametrize("s, R", [(2, 1e-200), (2, 1e-300), (2, 1e300)])
     def test_extreme_radius_refuses(self, s, R):
-        # the R^2 coefficients underflow (small R) or overflow (R = 1e300)
+        # R^2 is not a nonzero float: it underflows (small R) or overflows
+        # (R = 1e300), and the decay term is a float everywhere else
         problem = RadiusProblem(s=s, a=1.0, d_bound=DBound.radius_form(R))
         with pytest.raises(ConvergenceError, match=re.escape(f"for R = {R}")):
             discriminant_roots(problem)
@@ -571,8 +572,7 @@ class TestReport:
         d_bounds = [DBound.geometric_rate(0.5), DBound.geometric_rate(3.0)]
         d_bounds += [DBound.radius_form(R) for R in (0.1, 0.3, 1.0, 2.0, 20.0)]
         # a = 1e300 and 1e307 are left out: there the gap can read an ulp
-        # below 0 (test_decay_gap_below_an_ulp_is_nonnegative), and at 1e307
-        # c R^2 overflows a float, so no discriminant root is found
+        # below 0 (test_decay_gap_below_an_ulp_is_nonnegative)
         for a in (1e-300, 1e-200, 1e-160, 1e-100, 0.1, 1.0):
             for d_bound in d_bounds:
                 assert bound_report(RadiusProblem(s=s, a=a, d_bound=d_bound)).gap >= 0
@@ -583,6 +583,18 @@ class TestReport:
         # z, so the search bisects all the way down (to 2.9e-301 at a = 1e300)
         problem = RadiusProblem(s=2, a=a, d_bound=DBound.radius_form(2.0))
         assert radius_from_discriminant(problem) == pytest.approx(free_radius(2, a), rel=1e-15)
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_top_of_the_range_of_a(self, s):
+        # c R^2 overflows a float here (c is about 2e307 sqrt(2s - 1)); the
+        # cubics are solved rescaled, so every decay bound answers, and R is
+        # so far past the free radius that the lower root is the free radius
+        a = 1e307
+        d_bounds = [DBound.geometric_rate(0.5), DBound.geometric_rate(3.0)]
+        d_bounds += [DBound.radius_form(R) for R in (0.1, 0.3, 1.0, 2.0, 20.0)]
+        for d_bound in d_bounds:
+            report = bound_report(RadiusProblem(s=s, a=a, d_bound=d_bound))
+            assert report.r_lower == pytest.approx(free_radius(s, a), rel=1e-15)
 
     @pytest.mark.xfail(strict=True, reason="r_upper is not correctly rounded")
     def test_decay_gap_below_an_ulp_is_nonnegative(self):

@@ -118,7 +118,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", ["R=1e-200", "c=1e300", "R=1e300"])
     def test_extreme_decay_radius_is_convergence_failure(self, text, capsys):
-        # the cubic coefficients under- or overflow a double
+        # R^2 under- or overflows a double
         radius = float(text[2:]) if text[0] == "R" else 1 / float(text[2:])
         assert run(["radius", "--s", "2", "--a", "1", "--d-bound", text]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -679,6 +679,14 @@ class TestRadiusAndBounds:
         assert run(["bounds", "--s", "2", "--a", a, "--out", str(tmp_path / "b")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[2] == lines[2].split()[2] == z  # r_lower, r_upper
+
+    def test_decay_bound_at_the_top_of_the_range_of_a(self, tmp_path, capsys):
+        # c R^2 overflows a float; R is far past the free radius, which both print
+        argv = ["--s", "1", "--a", "1e307", "--d-bound", "R=20"]
+        assert run(["radius", *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("z = 5e-308 ")
+        assert run(["bounds", *argv, "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[2] == "5e-308"
 
     @pytest.mark.parametrize("s", range(1, 9))
     def test_trivial_bound_has_no_gap(self, s, capsys):

@@ -247,12 +247,22 @@ class TestRecurrenceOracle:
         assert verify_recurrences(tables) == reference_verify_recurrences(tables)
 
     def test_a_broken_table_breaks_both_alike(self, f2f2_lazy):
+        # the first generator, and the last of the last factor, which a
+        # check of one generator per symmetry class would never read; steps
+        # 3 and 4, so that a residual of either parity reads the break
+        bump = (0, 0, 0, F(1, 7), F(1, 7))
         for field in ("avoiding_even_returns", "avoiding_odd_returns", "detour_returns"):
-            table = dict(getattr(f2f2_lazy, field))
-            gen = next(iter(table))
-            table[gen] = table[gen][:3] + (table[gen][3] + F(1, 7),) + table[gen][4:]
-            broken = dataclasses.replace(f2f2_lazy, **{field: table})
-            assert verify_recurrences(broken) == reference_verify_recurrences(broken)
+            for gen in ((0, 0), (1, 1)):
+                table = dict(getattr(f2f2_lazy, field))
+                bumped = itertools.zip_longest(table[gen], bump, fillvalue=0)
+                table[gen] = tuple(t + b for t, b in bumped)
+                broken = dataclasses.replace(f2f2_lazy, **{field: table})
+                assert verify_recurrences(broken) == reference_verify_recurrences(broken)
+                assert verify_recurrences(broken) != verify_recurrences(f2f2_lazy)
+                if field != "avoiding_odd_returns":
+                    # generating_functions reads the other two in its split
+                    split = generating_functions(broken).residuals["excursion_split"]
+                    assert split != generating_functions(f2f2_lazy).residuals["excursion_split"]
 
     @settings(max_examples=30, deadline=None)
     @given(**SMALL_WALKS)
@@ -338,6 +348,38 @@ class TestReferenceOracle:
         sig = GroupSignature(tuple(ranks))
         weights = norm_weights(sig, a, alpha0)
         assert dp_tables(sig, weights, n_max) == reference_dp_tables(sig, weights, n_max)
+
+
+PER_GENERATOR = (
+    "excursion_returns", "detour_returns", "avoiding_even_returns", "avoiding_odd_returns"
+)
+
+
+class TestSymmetricFactors:
+    """Factors of equal rank and rate are walked once and share their tables."""
+
+    @pytest.mark.parametrize(
+        "group, a, alpha0", [("F2xF2", F(1, 8), 0), ("F1xF1xF1", F(1, 7), F(1, 7))]
+    )
+    def test_generators_share_table_objects(self, group, a, alpha0):
+        sig = parse_signature(group)
+        tables = dp_tables(sig, norm_weights(sig, a, alpha0), 3)
+        for field in PER_GENERATOR:
+            first, *rest = getattr(tables, field).values()
+            assert all(table is first for table in rest)
+
+    def test_equal_ranks_at_different_rates_stay_apart(self):
+        weights = WalkWeights(F(1, 16), {(i, j): (F(1, 8), F(1, 16))[i] for i, j in F2F2.bases()})
+        tables = dp_tables(F2F2, weights, 4)
+        for field in PER_GENERATOR:
+            table = getattr(tables, field)
+            assert table[(0, 0)] is table[(0, 1)]
+            assert table[(1, 0)] is table[(1, 1)]
+            assert table[(0, 0)] is not table[(1, 0)]
+        assert tables.excursion_returns[(0, 0)] != tables.excursion_returns[(1, 0)]
+        assert tables.avoiding_even_returns[(0, 0)] != tables.avoiding_even_returns[(1, 0)]
+        assert tables == reference_dp_tables(F2F2, weights, 4)
+        assert verify_recurrences(tables) == reference_verify_recurrences(tables)
 
 
 class TestCogrowth:
