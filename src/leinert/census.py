@@ -17,7 +17,8 @@ stack empty.  The `series` rule has no bar and counts every closed walk;
 Grigorchuk's cogrowth formula ties the two counts exactly.  A backward
 sweep keeps the classes that still complete to a bad string, and the
 depth-first search that lists the bad strings follows them, so it visits
-only prefixes of bad strings.
+only prefixes of bad strings.  One forward walk to the longest length and
+one backward sweep serve every length of a census.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
@@ -160,20 +161,24 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
         dist = nxt
 
 
-def _class_tables(signature: GroupSignature, length: int) -> tuple[int, list, int | None]:
-    """The lumped class DP of the valid strings of one length.
+def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict]:
+    """The lumped class DP of the valid strings of the given lengths.
 
     The tag is the last letter, 2 * factor + pushed + 1 (0 before the
     first), and the rule bars its base: after a push in f, f only appends,
     in rank - 1 ways; after a pop in f, the new top never has the barred
     generator, so f keeps its cancel if it has one and loses one append.
-    The forward sweep is `_walk` at unit weights, opening with an inverse
-    letter, and the bad count is its count at the last step, where every
-    stack is empty.  The backward sweep reads the walk's moves and numbers
-    the classes that still complete to a bad string.  Returns (bad, rows,
-    root): rows[c] lists `(factor, pop child, push child)` for every factor
-    with a live move out of class c, a dead move as None, and root is the
-    class of the empty prefix, None when no bad string exists.
+    The forward sweep is `_walk` at unit weights to the longest length L,
+    opening with an inverse letter.  A letter changes the total stack by
+    exactly one, so its classes at step m with at most l - m letters are
+    those of the walk to length l, with the same counts: bad(l) counts the
+    empty-stack classes at step l.  A move's liveness depends only on the
+    class and the r steps left (the exponent bit is r mod 2), so one
+    backward sweep over r numbers the live (class, r) rows of every length.
+    Returns (bad, rows, roots): rows[c] lists `(factor, pop child, push
+    child)` for every factor with a live move out of row c, a dead move as
+    None; roots[l] is the row of the empty prefix at r = l, None when no
+    bad string of length l exists.
     """
     ranks = signature.factors
 
@@ -182,36 +187,42 @@ def _class_tables(signature: GroupSignature, length: int) -> tuple[int, list, in
         appends = ranks[f] - cancels - ((tag - 1) >> 1 == f)
         return ((code >> 1, 2 * f + 1, cancels), (2 * code + bit, 2 * f + 2, appends))
 
-    # each field holds a stack of up to `length` letters and the tag's 2 * factors
-    width = length + len(ranks)
+    longest = max(lengths, default=0)
+    # each field holds a stack of up to L letters and the tag's 2 * factors
+    width = longest + len(ranks)
     start = _class(width, [1] * len(ranks))
     moves: dict = {}
     steps = _walk(signature, bar, [1] * len(ranks), 0, width, start, 1,
-                  range(1, length + 1), False, moves=moves)
+                  range(1, longest + 1), False, moves=moves)
     layers = [{start: 1}] + [nums for nums, _ in steps]
-    bad = sum(layers[-1].values())
+    top = width * (len(ranks) + 1)
+    bad = {l: sum(n for c, n in layers[l].items() if not c >> top) for l in lengths}
+    live_lengths = [l for l in bad if bad[l]]
 
     low = (1 << width) - 1
-    rows: list = [()] * len(layers[-1])
-    ids = dict(zip(layers[-1], range(len(rows))))
     shifts = [width * (f + 1) for f in range(len(ranks))]
-    for depth in range(length - 1, -1, -1):
-        bit = depth % 2
+    rows: list = []
+    roots: dict = {}
+    ids: dict = {}
+    for r in range(max(live_lengths, default=-1) + 1):
         live = {}
-        for state in layers[depth]:
-            tag = state & low
+        for state in set().union(*(layers[l - r] for l in live_lengths if l >= r)):
+            if state >> top > r:
+                continue
             row = []
-            for f, shift in enumerate(shifts):
+            # at r = 0 the empty-stack classes are the live leaves, with no moves
+            for f, shift in enumerate(shifts if r else ()):
                 children = [None, None]
-                for delta, _ in moves[f, state >> shift & low, tag, bit]:
+                for delta, _ in moves[f, state >> shift & low, state & low, r % 2]:
                     children[delta > 0] = ids.get(state + delta)
                 if children != [None, None]:
                     row.append((f, *children))
-            if row:
+            if row or not r:
                 live[state] = len(rows)
                 rows.append(tuple(row))
         ids = live
-    return bad, rows, ids.get(start)
+        roots[r] = ids.get(start)
+    return bad, rows, {l: roots.get(l) for l in lengths}
 
 
 def _walk_bad(
@@ -324,8 +335,8 @@ def iter_bad_strings(
     """The bad valid strings of one length, as Words, in search order."""
     _check_length(length)
     _check_budget(signature, length, budget)
-    _, rows, root = _class_tables(signature, length)
-    for seq in _walk_bad(signature, length, rows, root):
+    _, rows, roots = _class_tables(signature, [length])
+    for seq in _walk_bad(signature, length, rows, roots[length]):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
@@ -367,9 +378,10 @@ def take_census(
 ) -> BadStringCensus:
     """Count bad strings and kernels for each requested (even) length.
 
-    The class DP gives the bad count; the search over its live classes
-    counts the kernels.  Every length is checked against the budget before
-    any is counted.
+    One forward walk to the longest length and one backward sweep give
+    every length's bad count and live classes; the search over those
+    classes counts the kernels.  Every length is checked against the budget
+    before any is counted.
     """
     if signature.total_generators < 2:
         raise ValueError("valid strings need at least two generators")
@@ -377,12 +389,12 @@ def take_census(
     for length in lengths:
         _check_length(length)
         _check_budget(signature, length, budget)
-    entries = {}
-    for length in lengths:
-        bad, rows, root = _class_tables(signature, length)
-        kernels = _count_kernels(signature, length, rows, root)
-        entries[length] = CensusEntry(valid_string_count(signature, length), bad, kernels)
-    return BadStringCensus(signature, entries)
+    bad, rows, roots = _class_tables(signature, lengths)
+    return BadStringCensus(signature, {
+        l: CensusEntry(valid_string_count(signature, l), bad[l],
+                       _count_kernels(signature, l, rows, roots[l]))
+        for l in lengths
+    })
 
 
 # -- closed-form counts -------------------------------------------------------

@@ -13,6 +13,7 @@ prints.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -532,6 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run parses with one parser per process: on a 2-vCPU VM building one took
+# 1.6-4 ms, a quarter to a third of a whole verify-series run
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
     # OpenBLAS reads this once, when numpy loads, and the subcommands that use
     # numpy load it after this line.  By default it runs a thread per core,
@@ -540,9 +546,8 @@ def run(argv=None) -> int:
     # 0.33 s on one, in about the same wall time, and import numpy took 0.17 s
     # against 0.09 s.  A value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     manifest = _Manifest(args.subcommand)

@@ -33,7 +33,8 @@ from leinert.census import (
     InsufficientDataError,
     walk_distance_distribution,
 )
-from leinert.cli import write_census_csv
+from leinert import census as census_module
+from leinert.cli import run, write_census_csv
 from leinert.groups import is_simple_cycle
 from reference_census import (
     _iter_bad_letters,
@@ -157,6 +158,52 @@ class TestCensusObject:
         monkeypatch.setattr("leinert.census._count_kernels", no_search)
         with pytest.raises(BudgetExceededError, match="at length 20"):
             take_census(F2F2, range(2, 100, 2))
+        # the patched names are the ones a census within budget calls
+        with pytest.raises(AssertionError, match="enumerated"):
+            take_census(F2F2, [8])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+            lambda r: 2 <= sum(r) <= 5
+        ),
+        lengths=st.lists(st.sampled_from([2, 4, 6, 8, 10]), min_size=1, max_size=5),
+    )
+    @example(ranks=[2, 2], lengths=[10, 8, 4])
+    @example(ranks=[2, 2], lengths=[8])
+    @example(ranks=[1, 3], lengths=[10, 2])  # no bad string at any length
+    def test_one_walk_serves_every_length(self, ranks, lengths):
+        # unsorted, sparse, single and repeated lengths against one census each
+        sig = GroupSignature(tuple(ranks))
+        census = take_census(sig, lengths)
+        assert list(census.entries) == list(dict.fromkeys(lengths))
+        for length in lengths:
+            assert census.entries[length] == take_census(sig, [length]).entries[length]
+
+    def test_class_cap_binds_at_the_longest_length(self, monkeypatch):
+        # the walk to the longest length holds the classes of every shorter
+        # one, so a census meets the class cap exactly where its longest
+        # length alone does
+        default = census_module.MAX_STATES
+
+        def smallest_cap(lengths):
+            lo, hi = 1, default
+            while lo < hi:
+                mid = (lo + hi) // 2
+                monkeypatch.setattr(census_module, "MAX_STATES", mid)
+                try:
+                    take_census(F2F2, lengths)
+                    hi = mid
+                except BudgetExceededError:
+                    lo = mid + 1
+            return lo
+
+        peak = smallest_cap([12])
+        assert smallest_cap(range(2, 13, 2)) == smallest_cap([12, 6]) == peak
+        assert smallest_cap([10]) < peak
+        for cap, code in ((peak - 1, 3), (peak, 0)):
+            monkeypatch.setattr(census_module, "MAX_STATES", cap)
+            assert run(["census", "--group", "F2xF2", "--max-length", "12"]) == code
 
     @settings(max_examples=25, deadline=None)
     @given(
