@@ -1,19 +1,24 @@
 """Float-side machinery: the P and Q bound functions, the radius
 optimization, and the discriminant equation for the uniform two-factor case.
 
-Everything here is double precision; the exact-arithmetic side lives in
-census and series.  P(t) packages the per-generator square-root terms whose
-fixed point bounds the return generating function from below; Q adds an
-interaction-decay correction parameterized by a DBound and bounds it from
-above.  Both radii come from closed forms (Woess, *Random Walks on Infinite
-Graphs and Groups*, section 9):
+The exact-arithmetic side lives in census and series.  P(t) packages the
+per-generator square-root terms whose fixed point bounds the return
+generating function from below; Q adds an interaction-decay correction
+parameterized by a DBound and bounds it from above.  Both radii come from
+closed forms (Woess, *Random Walks on Infinite Graphs and Groups*, section 9):
 
-- the upper radius minimizes P(t)/t, found as the zero of t P'(t) - P(t) by
-  Newton inside a doubling bracket;
+- the upper radius minimizes P(t)/t.  On 2s letters of weight a it sits at
+  theta = sqrt(2s-1) / (2a(s-1)), where t P'(t) = P(t) = (2s-1)/(s-1), and
+  is the free radius 1/c, c = 2a sqrt(2s-1); woess_radius finds it by Newton
+  for general weights;
 - the lower radius is where the G-quadratic of the Q-equality has a double
-  root.  Its discriminant factors as 4s^2 [((2s-1)D - 1)^2 - 4a^2(2s-1)z^2],
-  so the roots come from two cubics, one per factor, and G itself is the
+  root.  Its discriminant factors as 4s^2 [((2s-1)D - 1)^2 - c^2 z^2], so
+  the roots come from two cubics, one per factor, and G itself is the
   quadratic's root with G(0) = 1, kept only if it solves Q(z, G) = G.
+
+The problem depends on a only through w = a z and a R.  No float here forms
+a^2, R^2 or z^2 (the decay term reads z / R, the quadratic a z), and every
+root is solved exactly and rounded correctly, so any decay radius works.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ class DBound:
         R = self.radius
         if abs(t) >= R:
             raise PastRadiusError(f"decay term singular at |t| >= {R}")
-        return t * t / (R * R - t * t)
+        return (t / R) ** 2 / ((1.0 - t / R) * (1.0 + t / R))
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,6 @@ class RadiusProblem:
             raise ValueError(
                 f"a = {self.a} is out of range: free radius {radius} is not a positive finite number"
             )
-
-    @property
-    def uniform_weights(self) -> tuple[float, ...]:
-        return (self.a,) * (2 * self.s)
 
 
 def eval_P(t: float, weights: Sequence[float]) -> float:
@@ -213,8 +214,9 @@ def eval_Q(t: float, g: float, problem: RadiusProblem) -> float:
 
 def quadratic_coeffs(z: float, D: float, s: int, a: float) -> tuple[float, float, float]:
     """Coefficients of the G-quadratic from the uniform Q-equality."""
-    A = 1.0 - 2.0 * s * D - 4.0 * a * a * z * z * s * s
-    B = -4.0 * s * s * D + 2.0 * s * D + 2.0 * s - 2.0
+    w = a * z
+    A = 1.0 - 2.0 * s * D - 4.0 * s * s * w * w
+    B = 2.0 * (s - 1) - 2.0 * s * (2 * s - 1) * D  # exactly -2D at s = 1
     C = 1.0 - 2.0 * s
     return A, B, C
 
@@ -250,43 +252,36 @@ def solve_G_upper(z: float, problem: RadiusProblem) -> float:
 
 
 def free_radius(s: int, a: float) -> float:
-    """The trivial-decay radius 1 / (2 a sqrt(2s - 1))."""
+    """The trivial-decay radius 1/c, c = 2a sqrt(2s - 1) in floats: the c for
+    which every radius here is correctly rounded, so none crosses another."""
     return 1.0 / (2.0 * a * math.sqrt(2.0 * s - 1.0))
 
 
 def discriminant_roots(problem: RadiusProblem) -> list[float]:
     """All z in (0, R) where the G-quadratic's discriminant vanishes, sorted.
 
-    The discriminant factors as 4s^2 [((2s-1)D - 1)^2 - c^2 z^2] with
-    c = 2a sqrt(2s-1), so it vanishes where (2s-1)D = 1 + sign*cz for either
-    sign.  With D = z^2 / (R^2 - z^2), multiplying through by R^2 - z^2 > 0
-    turns each sign into the cubic
+    The discriminant factors as 4s^2 [((2s-1)D - 1)^2 - c^2 z^2], so it
+    vanishes where (2s-1)D = 1 + sign*cz for either sign.  With D =
+    z^2 / (R^2 - z^2), multiplying through by R^2 - z^2 > 0 gives the cubic
         sign*c z^3 + 2s z^2 - sign*c R^2 z - R^2 = 0
     without adding a root in (0, R).  Each cubic is -R^2 < 0 at 0 and
     (2s-1)R^2 > 0 at R, and has exactly one root there: the minus sign gives
     the lower crossing, the plus sign the upper one, and no real G branch
     exists between them.  The lower root also has cz < 1, since D > 0, so it
-    lies below min(1/c, R); each cubic is solved on that scale (see
-    _cubic_root), which keeps its float coefficients in range however large
-    c R^2 is.  A root is kept only if it still lies in (0, R) after
-    rounding, so once R is large against 1/c the upper root, which rounds to
-    R, drops out.  ConvergenceError is raised when the lower root rounds
-    away too, and when R^2 is not a nonzero float: the decay term
-    z^2 / (R^2 - z^2) is evaluated in floats everywhere else.
+    lies below min(1/c, R) and rounds to at most free_radius.  A root is
+    kept only if it still lies in (0, R) after rounding, so once R is large
+    against 1/c the upper root, which rounds to R, drops out;
+    ConvergenceError is raised if the lower root rounds away too.
     """
     s, a = problem.s, problem.a
     if problem.d_bound.kind is DKind.ZERO:
         return [free_radius(s, a)]
     R = problem.d_bound.radius
-    c = Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0))
-    R2 = Fraction(R) ** 2
+    c, R2 = Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0)), Fraction(R) ** 2
     roots = []
-    for sign in (-1, 1) if 0 < R * R < math.inf else ():
-        k3, k2, k1, k0 = sign * c, 2 * s, -sign * c * R2, -R2
-        z = _cubic_root((k3, k2, k1, k0), Fraction(R) if sign > 0 else min(1 / c, Fraction(R)))
-        # one Newton step in exact arithmetic rounds the root correctly
-        f = ((k3 * z + k2) * z + k1) * z + k0
-        z = float(z - f / ((3 * k3 * z + 2 * k2) * z + k1))
+    for sign in (-1, 1):
+        cubic = (sign * c, 2 * s, -sign * c * R2, -R2)
+        z = _root(cubic, Fraction(R) if sign > 0 else min(1 / c, Fraction(R)))
         if not 0 < z < R:
             break
         roots.append(z)
@@ -295,38 +290,47 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     return roots
 
 
-def _cubic_root(coeffs: tuple, scale: Fraction) -> Fraction:
-    """The root in (0, scale) of the cubic with the given exact coefficients
-    (highest first), which is negative at 0 and has no other root there.
+def _root(coeffs: tuple, scale: Fraction) -> float:
+    """The root in (0, scale) of the polynomial with the given exact
+    coefficients (highest first), which is negative at 0 and has no other
+    root there, correctly rounded.
 
-    The cubic is rewritten in u = z / scale and divided by its largest
+    The polynomial is rewritten in u = z / scale and divided by its largest
     coefficient, in exact arithmetic, so its float coefficients are at most
     1 and only ones too small to matter round to 0.  Newton steps on u, kept
     inside the sign bracket (0, 1) by bisection, run until the iterate
-    repeats; the bracket ends are never evaluated.
+    repeats; the bracket ends are never evaluated.  One exact Newton step
+    from there leaves an error far below an ulp, and is rounded once.
     """
-    scaled = [k * scale ** (3 - n) for n, k in enumerate(coeffs)]
+    degree = len(coeffs) - 1
+    scaled = [k * scale ** (degree - n) for n, k in enumerate(coeffs)]
     top = max(abs(k) for k in scaled)
-    k3, k2, k1, k0 = (float(k / top) for k in scaled)
-    lo, hi = 0.0, 1.0
-    u = 0.5
+    floats = [float(k / top) for k in scaled]
+    lo, hi, u = 0.0, 1.0, 0.5
     # the cap only bounds bisection, which pins a root above 2^-48 to an ulp
     for _ in range(100):
-        f = ((k3 * u + k2) * u + k1) * u + k0
+        f, df = _horner(floats, u)
         if f == 0:
             break
-        if f < 0:
-            lo = u
-        else:
-            hi = u
-        df = (3 * k3 * u + 2 * k2) * u + k1
+        lo, hi = (u, hi) if f < 0 else (lo, u)
         step = u - f / df if df else u
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if step == u:
             break
         u = step
-    return scale * Fraction(u)
+    z = scale * Fraction(u)
+    f, df = _horner(coeffs, z)
+    return float(z - f / df)
+
+
+def _horner(coeffs, x):
+    """The polynomial (highest coefficient first) and its derivative at x."""
+    f = df = 0
+    for k in coeffs:
+        df = df * x + f
+        f = f * x + k
+    return f, df
 
 
 def radius_from_discriminant(problem: RadiusProblem) -> float:
@@ -342,43 +346,40 @@ def g_pole(problem: RadiusProblem) -> float:
     or inf where it has none.
 
     The branch -2C / (B + sqrt(disc)) blows up where A reaches 0 with B < 0.
-    With w = z^2 and D = w / (R^2 - w), A = 0 reads
-        4a^2 s^2 w^2 - (4a^2 s^2 R^2 + 2s + 1) w + R^2 = 0,
-    which is R^2 at w = 0 and -2s R^2 at w = R^2, so its smaller root is the
-    one in (0, R^2).  The trivial decay bound keeps B = 2s - 2 >= 0.
+    With D = z^2 / (R^2 - z^2) and k = 4a^2 s^2, A = 0 reads
+        k z^4 - (k R^2 + 2s + 1) z^2 + R^2 = 0,
+    which is R^2 > 0 at 0 and negative at R and at 1/(2sa), so its smallest
+    positive root lies below both.  B = 2(s-1) - 2s(2s-1)D is tested
+    exactly: at s = 1 it is -2D < 0 however small D is, and the trivial
+    decay bound keeps B = 2s - 2 >= 0.
     """
     if problem.d_bound.kind is DKind.ZERO:
         return math.inf
-    s, a, R2 = problem.s, problem.a, problem.d_bound.radius ** 2
-    k = 4.0 * a * a * s * s
-    b = k * R2 + 2.0 * s + 1.0
-    z = math.sqrt(2.0 * R2 / (b + math.sqrt(b * b - 4.0 * k * R2)))
-    _, B, _ = quadratic_coeffs(z, problem.d_bound.value(z), s, a)
-    return z if B < 0 else math.inf
+    s, a, R = problem.s, Fraction(problem.a), Fraction(problem.d_bound.radius)
+    k = 4 * s * s * a * a
+    z = _root((-k, 0, k * R * R + 2 * s + 1, 0, -R * R), min(R, 1 / (2 * s * a)))
+    z2 = Fraction(z) ** 2  # B < 0 below, multiplied through by R^2 - z^2 > 0
+    return z if s * (2 * s - 1) * z2 > (s - 1) * (R * R - z2) else math.inf
 
 
 def r_squared_closed_form(z: float, s: int, a: float, branch: int = -1) -> float:
     """The decay radius squared that places a discriminant root at z.
 
     The vanishing discriminant fixes the decay value only up to a sign,
-    (2s-1)D - 1 = ±2az√(2s-1), so two decay radii share the root z.
-    branch=-1 (default) takes the sign for which z is the smallest root,
-    making this the exact inverse of radius_from_discriminant; it requires
-    z below the trivial-decay radius.  branch=+1 takes the other sign,
-    for which z comes back as the upper root in discriminant_roots.
+    (2s-1)D = 1 + branch*cz, so two decay radii share the root z:
+    R^2 = z^2 (1 + D) / D = z^2 (2s + branch*cz) / (1 + branch*cz),
+    evaluated exactly and rounded once.  branch=-1 (default) takes the sign
+    for which z is the smallest root, making this the exact inverse of
+    radius_from_discriminant; it requires z below the trivial-decay radius,
+    where the denominator vanishes.  branch=+1 takes the other sign, for
+    which z comes back as the upper root in discriminant_roots.
     """
     if branch not in (-1, +1):
         raise ValueError("branch must be +1 or -1")
-    two_s1 = 2.0 * s - 1.0
-    denom = 4.0 * a * a * two_s1 * z * z - 1.0
-    if abs(denom) < 1e-14:
+    y = branch * Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0)) * Fraction(z)
+    if abs(1 + y) < 1e-14:
         raise ZeroDivisionError("singular exactly at the trivial-decay radius")
-    num = (
-        2.0 * branch * math.sqrt(a * a * two_s1**3 * z**6)
-        + 4.0 * a * a * two_s1 * z**4
-        - 2.0 * s * z * z
-    )
-    return num / denom
+    return float(Fraction(z) ** 2 * (2 * s + y) / (1 + y))
 
 
 @dataclass(frozen=True)
@@ -388,10 +389,9 @@ class BoundReport:
     r_lower is where the decay-corrected G branch stops: the lower
     discriminant root, or the branch's pole (g_pole) where that comes
     first, as it can when B < 0.  Accounting for bad strings can only pull
-    the estimate down from the trivially-decaying ideal, so it sits at or
-    below r_upper, the minimization radius that ignores the decay term.
-    For the trivial decay bound both are the free radius, computed once, so
-    the gap is 0.
+    the estimate down from r_upper, the trivially-decaying ideal: the free
+    radius, where P(t)/t is least, at theta.  Both are correctly rounded, so
+    r_lower <= r_upper, with a gap of 0 for the trivial decay bound.
     """
 
     problem: RadiusProblem
@@ -411,13 +411,11 @@ class BoundReport:
 
 
 def bound_report(problem: RadiusProblem) -> BoundReport:
-    r_upper, theta = woess_radius(problem.uniform_weights)
+    s = problem.s
+    r_upper = free_radius(s, problem.a)
+    # P(theta) = theta / r_upper = (2s-1)/(s-1); two letters have no minimum
+    theta = r_upper * (2 * s - 1) / (s - 1) if s > 1 else math.inf
     r_lower = min(radius_from_discriminant(problem), g_pole(problem))
-    if problem.d_bound.kind is DKind.ZERO:
-        # r_lower is then the closed-form free radius, the number the
-        # minimum approximates: taking both would report the rounding
-        # difference of two computations of one radius as a gap
-        r_upper = r_lower
     return BoundReport(problem=problem, r_lower=r_lower, r_upper=r_upper, theta=theta)
 
 

@@ -116,14 +116,18 @@ class TestExitCodes:
             f"decay radius {radius} is not a positive finite number"
         )
 
-    @pytest.mark.parametrize("text", ["R=1e-200", "c=1e300", "R=1e300"])
-    def test_extreme_decay_radius_is_convergence_failure(self, text, capsys):
-        # R^2 under- or overflows a double
-        radius = float(text[2:]) if text[0] == "R" else 1 / float(text[2:])
-        assert run(["radius", "--s", "2", "--a", "1", "--d-bound", text]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"convergence failure: no discriminant root found in (0, R) for R = {radius}"
-        ]
+    @pytest.mark.parametrize(
+        "a, text", [("1", "R=1e-200"), ("1", "c=1e300"), ("1", "R=1e300"), ("1e307", "R=1e300")]
+    )
+    def test_extreme_decay_radius_answers(self, a, text, tmp_path, capsys):
+        # R^2 under- or overflows a double; both subcommands answer anyway
+        argv = ["--s", "2", "--a", a, "--d-bound", text]
+        assert run(["radius", *argv]) == 0
+        z = float(capsys.readouterr().out.splitlines()[1].split()[2])
+        assert run(["bounds", *argv, "--out", str(tmp_path / "b")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        r_lower, r_upper = (float(line.split()[2]) for line in lines[1:3])
+        assert 0 < r_lower <= z and r_lower <= r_upper
 
     def test_empty_s_range_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b"
