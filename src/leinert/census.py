@@ -18,7 +18,9 @@ Grigorchuk's cogrowth formula ties the two counts exactly.  A backward
 sweep keeps the classes that still complete to a bad string, and the
 depth-first search that lists the bad strings follows them, so it visits
 only prefixes of bad strings.  One forward walk to the longest length and
-one backward sweep serve every length of a census.
+one backward sweep serve every length of a census.  The walk holds at most
+MAX_STATES classes a step, the searches run only when the bad counts bound
+their nodes by MAX_NODES, and a fixed limit on the length refuses far ones.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
@@ -52,11 +54,8 @@ from typing import Iterable, Iterator, Sequence
 from .groups import GroupSignature, Letter, Word
 from .groups import is_kernel  # unused here; perfbench/tracing.py binds census.is_kernel
 
-DEFAULT_BUDGET = 10**9
-
-
 class BudgetExceededError(RuntimeError):
-    """The enumeration search space exceeds the configured budget."""
+    """A census or walk would exceed one of its caps."""
 
     def __init__(self, description: str, bound: int, budget: int):
         super().__init__(
@@ -86,15 +85,10 @@ def _check_length(length: int):
         raise ValueError(f"valid strings have even length >= 2, got {length}")
 
 
-def _check_budget(signature: GroupSignature, length: int, budget: int) -> None:
-    bound = valid_string_count(signature, length)
-    if bound > budget:
-        raise BudgetExceededError(
-            f"bad-string census for {signature} at length {length}", bound, budget
-        )
-
-
 MAX_STATES = 2_000_000
+# caps a census's search nodes (see _class_tables): on a 2-vCPU VM it admits
+# F2xF2 to length 24 (3.9e7, 1.6 s) and Z3 to 28 (1.45e8, 1.3 s), not F2xF2 to 26
+MAX_NODES = 150_000_000
 
 
 def _class(width: int, codes, tag: int = 0) -> int:
@@ -179,6 +173,13 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     child)` for every factor with a live move out of row c, a dead move as
     None; roots[l] is the row of the empty prefix at r = l, None when no
     bad string of length l exists.
+
+    MAX_STATES caps the walk's classes a step.  Every node a search visits
+    is a prefix of a bad string, so the searches are refused before any
+    runs when the sum of (l+1) * bad(l) over the lengths exceeds MAX_NODES.
+    First, a policy limit on L, implied by neither cap (it can refuse what
+    both admit), refuses a walk whose s(s-1)^(L/2-1) valid prefixes at its
+    middle step exceed MAX_NODES, so a far length is refused at once.
     """
     ranks = signature.factors
 
@@ -188,6 +189,12 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
         return ((code >> 1, 2 * f + 1, cancels), (2 * code + bit, 2 * f + 2, appends))
 
     longest = max(lengths, default=0)
+    s, middle = signature.total_generators, longest // 2
+    prefixes = s * (s - 1) ** (middle - 1) if middle else 0
+    if prefixes > MAX_NODES:
+        raise BudgetExceededError(
+            f"walk on {signature} to length {longest}, valid prefixes at step {middle}",
+            prefixes, MAX_NODES)
     # each field holds a stack of up to L letters and the tag's 2 * factors
     width = longest + len(ranks)
     start = _class(width, [1] * len(ranks))
@@ -197,6 +204,9 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     layers = [{start: 1}] + [nums for nums, _ in steps]
     top = width * (len(ranks) + 1)
     bad = {l: sum(n for c, n in layers[l].items() if not c >> top) for l in lengths}
+    nodes = sum((l + 1) * n for l, n in bad.items())
+    if nodes > MAX_NODES:
+        raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
     live_lengths = [l for l in bad if bad[l]]
 
     low = (1 << width) - 1
@@ -329,25 +339,17 @@ def _count_kernels(
     return kernels
 
 
-def iter_bad_strings(
-    signature: GroupSignature, length: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[Word]:
+def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
     """The bad valid strings of one length, as Words, in search order."""
     _check_length(length)
-    _check_budget(signature, length, budget)
     _, rows, roots = _class_tables(signature, [length])
     for seq in _walk_bad(signature, length, rows, roots[length]):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
-def count_bad_exact(
-    signature: GroupSignature,
-    length: int,
-    kernel_only: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
+def count_bad_exact(signature: GroupSignature, length: int, kernel_only: bool = False) -> int:
     """Exact number of bad valid strings (or just the minimal ones)."""
-    entry = take_census(signature, [length], budget).entries[length]
+    entry = take_census(signature, [length]).entries[length]
     return entry.kernels if kernel_only else entry.bad
 
 
@@ -371,24 +373,20 @@ class BadStringCensus:
         return sorted(self.entries)
 
 
-def take_census(
-    signature: GroupSignature,
-    lengths: Iterable[int],
-    budget: int = DEFAULT_BUDGET,
-) -> BadStringCensus:
+def take_census(signature: GroupSignature, lengths: Iterable[int]) -> BadStringCensus:
     """Count bad strings and kernels for each requested (even) length.
 
     One forward walk to the longest length and one backward sweep give
     every length's bad count and live classes; the search over those
-    classes counts the kernels.  Every length is checked against the budget
-    before any is counted.
+    classes counts the kernels.  BudgetExceededError refuses the census
+    before any search runs when the walk exceeds MAX_STATES classes at a
+    step or the searches' node bound exceeds MAX_NODES (_class_tables).
     """
     if signature.total_generators < 2:
         raise ValueError("valid strings need at least two generators")
     lengths = list(lengths)
     for length in lengths:
         _check_length(length)
-        _check_budget(signature, length, budget)
     bad, rows, roots = _class_tables(signature, lengths)
     return BadStringCensus(signature, {
         l: CensusEntry(valid_string_count(signature, l), bad[l],

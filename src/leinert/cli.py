@@ -1,8 +1,8 @@
 """Command-line entry point: every capability as a subcommand.
 
 Exit codes: 0 success, 2 usage errors (argparse's convention), 3 when a
-computation hits its budget or fails to converge.  With --out, a run that
-finishes writes its outputs and a manifest.json recording the full
+computation hits one of its caps or fails to converge.  With --out, a run
+that finishes writes its outputs and a manifest.json recording the full
 configuration, the seed, and a digest per output, so a run can be
 reproduced byte for byte (exact-arithmetic outputs) or statistically
 (floating ones).  Every file is built in this module: tables by _table
@@ -33,7 +33,7 @@ from .bounds import (
     free_radius,
     radius_from_discriminant,
 )
-from .census import BadStringCensus, BudgetExceededError, DEFAULT_BUDGET, take_census
+from .census import BadStringCensus, BudgetExceededError, take_census
 from .groups import GroupSignature, MalformedWordError, parse_signature
 from .series import (
     ProbabilityTables,
@@ -280,7 +280,7 @@ def _cmd_census(args, manifest: _Manifest) -> int:
     sig = args.group
     lengths = range(2, args.max_length + 1, 2)
     try:
-        census = take_census(sig, lengths, budget=args.budget)
+        census = take_census(sig, lengths)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
     print(f"group {sig}, lengths {lengths.start}..{args.max_length}")
@@ -466,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="exact bad-string counts by length")
     p.add_argument("--group", type=_signature, required=True)
     p.add_argument("--max-length", type=_max_length, default=12)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_out(p)
     p.set_defaults(func=_cmd_census)
 

@@ -123,11 +123,26 @@ class TestBadCounts:
         e = take_census(parse_signature(name), [length]).entries[length]
         assert (e.bad, e.kernels) == (bad, kernels)
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            count_bad_exact(F2F2, 8, budget=100)
-        with pytest.raises(BudgetExceededError):
-            count_bad_exact(F2F2, 20)
+    def test_budget_guard(self, monkeypatch):
+        # the searches at length 8 visit at most 9 * 16 nodes, and the node
+        # cap binds exactly there, for the census and for the enumeration
+        monkeypatch.setattr(census_module, "MAX_NODES", 144)
+        assert count_bad_exact(F2F2, 8) == len(list(iter_bad_strings(F2F2, 8))) == 16
+        monkeypatch.setattr(census_module, "MAX_NODES", 143)
+        with pytest.raises(BudgetExceededError, match="search on F2xF2 to length 8: "):
+            count_bad_exact(F2F2, 8)
+        with pytest.raises(BudgetExceededError, match="search on F2xF2 to length 8: "):
+            next(iter_bad_strings(F2F2, 8))
+
+    def test_kernels_at_twenty(self):
+        # 4.6e9 valid strings, past any enumeration of them: every bad string
+        # the search lists is checked for pairwise distinct prefix products
+        _, rows, roots = census_module._class_tables(F2F2, [20])
+        flags = [
+            is_simple_cycle(seq, F2F2.num_factors)
+            for seq in census_module._walk_bad(F2F2, 20, rows, roots[20])
+        ]
+        assert (len(flags), sum(flags)) == (59520, 14240)
 
 
 class TestCensusObject:
@@ -150,16 +165,17 @@ class TestCensusObject:
         )
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
-        # the refusal at length 20 comes before any length is counted or searched
-        def no_search(*args):
-            raise AssertionError("enumerated before the budget check")
+        # at length 98 the valid prefixes of length 49 are over MAX_NODES, so
+        # the length limit refuses the walk before it starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran past a cap")
 
-        monkeypatch.setattr("leinert.census._class_tables", no_search)
-        monkeypatch.setattr("leinert.census._count_kernels", no_search)
-        with pytest.raises(BudgetExceededError, match="at length 20"):
+        monkeypatch.setattr("leinert.census._walk", no_work)
+        monkeypatch.setattr("leinert.census._count_kernels", no_work)
+        with pytest.raises(BudgetExceededError, match="to length 98, valid prefixes at step 49: "):
             take_census(F2F2, range(2, 100, 2))
-        # the patched names are the ones a census within budget calls
-        with pytest.raises(AssertionError, match="enumerated"):
+        # the patched names are the ones a census within the caps calls
+        with pytest.raises(AssertionError, match="ran past"):
             take_census(F2F2, [8])
 
     @settings(max_examples=40, deadline=None)

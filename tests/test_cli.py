@@ -27,13 +27,18 @@ class TestExitCodes:
         assert run(["census"]) == 2  # --group is required
         assert run(["no-such-command"]) == 2
         assert run([]) == 2
+        # the census takes its limits from its own counts
+        assert run(["census", "--group", "F2xF2", "--budget", "5"]) == 2
 
     def test_budget_failure_is_3(self, capsys):
-        # refused before any length is enumerated, naming the first one over
+        # the length limit refuses it before the walk starts: the valid
+        # prefixes at its middle step are over MAX_NODES
+        started = time.perf_counter()
         assert run(["census", "--group", "F2xF2", "--max-length", "99"]) == 3
+        assert time.perf_counter() - started < 1
         assert capsys.readouterr().err.splitlines() == [
-            "budget exceeded: bad-string census for F2xF2 at length 20: "
-            "search-space bound 4649045868 exceeds budget 1000000000"
+            "budget exceeded: walk on F2xF2 to length 98, valid prefixes at step 49: "
+            "search-space bound 319065772307490039453444 exceeds budget 150000000"
         ]
 
     def test_convergence_failure_is_3(self, monkeypatch, capsys):
@@ -226,6 +231,33 @@ class TestCensus:
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "census.csv").read_bytes() == (b / "census.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "max_length, cap, bound",
+        # at length 12, 9 * 16 + 11 * 32 + 13 * 144 = 2368; at 26 the default cap
+        [(12, 2367, 2368), (26, 150_000_000, 197_930_864)],
+    )
+    def test_node_cap_refuses_before_the_search(self, max_length, cap, bound, monkeypatch, capsys):
+        def no_search(*args):
+            raise AssertionError("searched past the node cap")
+
+        monkeypatch.setattr("leinert.census.MAX_NODES", cap)
+        monkeypatch.setattr("leinert.census._count_kernels", no_search)
+        assert run(["census", "--group", "F2xF2", "--max-length", str(max_length)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"budget exceeded: search on F2xF2 to length {max_length}: "
+            f"search-space bound {bound} exceeds budget {cap}"
+        ]
+
+    def test_reaches_length_24(self, tmp_path):
+        out = tmp_path / "c"
+        assert run(["census", "--group", "F2xF2", "--max-length", "24", "--out", str(out)]) == 0
+        rows = [line.split(",")[:4] for line in (out / "census.csv").read_text().splitlines()]
+        assert rows[-3:] == [
+            ["20", "4649045868", "59520", "14240"],
+            ["22", "41841412812", "271232", "52448"],
+            ["24", "376572715308", "1266176", "172608"],
+        ]
+
     def test_class_cap_is_budget_failure(self, monkeypatch, capsys):
         # the census runs the series walk, so the walk's class cap binds it too
         monkeypatch.setattr("leinert.census.MAX_STATES", 10)
@@ -300,6 +332,11 @@ PINNED_BYTES = [
         "6c9bd6b883a2a5c45abd04e58776774a242ced7210429e20d860ba3e28df3d51",
     ),
     (
+        ["sample", "--group", "F2xF2", "--max-length", "12", "--samples", "100000", "--seed", "7"],
+        "sample.csv",
+        "51ccc3590fe89afc69f6472402f1eb012e4eb2ea7164045c88ff863a0475a0e8",
+    ),
+    (
         PINNED_FIGURE,
         "figure_bounds.dat",
         "f85612b6bcf7f77001aadc92924e6df939d4b137dca693c2644db46c6f671595",
@@ -320,6 +357,7 @@ PINNED_IDS = [
     "series-F2xF2-lazy",
     "series-F1xF1",
     "bounds-s2",
+    "sample-F2xF2-12",
     "figure-bounds",
     "figure-decay",
 ]
@@ -393,7 +431,10 @@ def run_python(script, *args, blas_threads=None):
 
 
 def test_exact_subcommands_run_without_numpy(tmp_path):
-    exact = [(argv, name, sha) for argv, name, sha in PINNED_BYTES if argv[0] != "figure"]
+    exact = [
+        (argv, name, sha) for argv, name, sha in PINNED_BYTES
+        if argv[0] not in cli._NUMPY_SUBCOMMANDS
+    ]
     assert {argv[0] for argv, _, _ in exact} == {"census", "verify-series", "bounds"}
     jobs = [(argv, name) for argv, name, _ in exact] + [(argv, None) for argv, _ in RADIUS_STDOUT]
     expected = [[0, sha] for _, _, sha in exact] + [[0, text] for _, text in RADIUS_STDOUT]
@@ -763,9 +804,14 @@ class TestFigure:
 
 class TestConsoleScript:
     def test_entry_point_installed(self):
+        # the interpreter imports this package, as run_python's do
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "leinert.cli"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 2  # no subcommand given

@@ -187,6 +187,14 @@ class TestSampling:
         lo, hi = report.wilson_interval_95
         assert lo < truth < hi
 
+    def test_interval_covers_truth_at_twenty(self):
+        # past the reach of any enumeration of the valid strings: the census
+        # gives 59,520 bad strings among 4.6e9, and 2e6 draws hit tens of them
+        truth = 59520 / 4649045868
+        report = estimate_bad_frequency(SampleConfig(F2F2, 20, 2_000_000, seed=0))
+        lo, hi = report.wilson_interval_95
+        assert report.bad_count > 10 and lo < truth < hi
+
     def test_counts_match_interval_inputs(self):
         report = estimate_bad_frequency(SampleConfig(F2F2, 8, 4000, seed=9))
         assert report.wilson_interval_95 == wilson_interval(report.bad_count, 4000)

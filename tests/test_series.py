@@ -399,6 +399,7 @@ class TestCogrowth:
         "group, length",
         [
             ("F2xF2", 12),
+            ("F2xF2", 20),
             ("F4", 10),
             ("F1xF3", 10),
             ("F2xF3", 10),
