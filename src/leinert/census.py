@@ -155,32 +155,29 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
         dist = nxt
 
 
-def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict]:
-    """The lumped class DP of the valid strings of the given lengths.
+def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict, int]:
+    """The forward sweep of the lumped class DP of the valid strings of the
+    given lengths: `_walk` at unit weights to the longest length L, opening
+    with an inverse letter.
 
     The tag is the last letter, 2 * factor + pushed + 1 (0 before the
     first), and the rule bars its base: after a push in f, f only appends,
     in rank - 1 ways; after a pop in f, the new top never has the barred
     generator, so f keeps its cancel if it has one and loses one append.
-    The forward sweep is `_walk` at unit weights to the longest length L,
-    opening with an inverse letter.  A letter changes the total stack by
-    exactly one, so its classes at step m with at most l - m letters are
-    those of the walk to length l, with the same counts: bad(l) counts the
-    empty-stack classes at step l.  A move's liveness depends only on the
-    class and the r steps left (the exponent bit is r mod 2), so one
-    backward sweep over r numbers the live (class, r) rows of every length.
-    Returns (bad, rows, roots): rows[c] lists `(factor, pop child, push
-    child)` for every factor with a live move out of row c, a dead move as
-    None; roots[l] is the row of the empty prefix at r = l, None when no
-    bad string of length l exists.
+    A letter changes the total stack by exactly one, so the classes at step
+    m with at most l - m letters are those of the walk to length l, with the
+    same counts: bad(l) counts the empty-stack classes at step l.  Returns
+    (bad, layers, moves, width): the bad counts, the classes after each
+    step, the rule's move cache and the bits of a class field.
 
-    MAX_STATES caps the walk's classes a step.  Every node a search visits
-    is a prefix of a bad string, so the searches are refused before any
-    runs when the sum of (l+1) * bad(l) over the lengths exceeds MAX_NODES.
-    First, a policy limit on L, implied by neither cap (it can refuse what
-    both admit), refuses a walk whose s(s-1)^(L/2-1) valid prefixes at its
-    middle step exceed MAX_NODES, so a far length is refused at once.
+    MAX_STATES caps the walk's classes a step.  A policy limit on L, implied
+    by no cap, refuses at once a walk whose s(s-1)^(L/2-1) valid prefixes at
+    its middle step exceed MAX_NODES.
     """
+    if signature.total_generators < 2:
+        raise ValueError("valid strings need at least two generators")
+    for length in lengths:
+        _check_length(length)
     ranks = signature.factors
 
     def bar(f, code, tag, bit):
@@ -204,12 +201,32 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     layers = [{start: 1}] + [nums for nums, _ in steps]
     top = width * (len(ranks) + 1)
     bad = {l: sum(n for c, n in layers[l].items() if not c >> top) for l in lengths}
+    return bad, layers, moves, width
+
+
+def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict]:
+    """The live classes of the valid strings of the given lengths, which
+    the searches follow.
+
+    A move's liveness depends only on the class and the r steps left (the
+    exponent bit is r mod 2), so one backward sweep over r numbers the live
+    (class, r) rows of every length.  Returns (bad, rows, roots): rows[c]
+    lists `(factor, pop child, push child)` for every factor with a live
+    move out of row c, a dead move as None; roots[l] is the row of the empty
+    prefix at r = l, None when no bad string of length l exists.  Every node
+    a search visits is a prefix of a bad string, so the searches are refused
+    when the sum of (l+1) * bad(l) over the lengths exceeds MAX_NODES.
+    """
+    bad, layers, moves, width = _forward_walk(signature, lengths)
     nodes = sum((l + 1) * n for l, n in bad.items())
     if nodes > MAX_NODES:
+        longest = max(lengths)
         raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
     live_lengths = [l for l in bad if bad[l]]
 
-    low = (1 << width) - 1
+    ranks = signature.factors
+    low, top = (1 << width) - 1, width * (len(ranks) + 1)
+    start = _class(width, [1] * len(ranks))
     shifts = [width * (f + 1) for f in range(len(ranks))]
     rows: list = []
     roots: dict = {}
@@ -341,16 +358,17 @@ def _count_kernels(
 
 def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
     """The bad valid strings of one length, as Words, in search order."""
-    _check_length(length)
     _, rows, roots = _class_tables(signature, [length])
     for seq in _walk_bad(signature, length, rows, roots[length]):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
 def count_bad_exact(signature: GroupSignature, length: int, kernel_only: bool = False) -> int:
-    """Exact number of bad valid strings (or just the minimal ones)."""
-    entry = take_census(signature, [length]).entries[length]
-    return entry.kernels if kernel_only else entry.bad
+    """Exact number of bad valid strings (or just the minimal ones).  The
+    bad count comes off the forward walk alone, so no search cap binds it."""
+    if kernel_only:
+        return take_census(signature, [length]).entries[length].kernels
+    return _forward_walk(signature, [length])[0][length]
 
 
 @dataclass(frozen=True)
@@ -382,11 +400,7 @@ def take_census(signature: GroupSignature, lengths: Iterable[int]) -> BadStringC
     before any search runs when the walk exceeds MAX_STATES classes at a
     step or the searches' node bound exceeds MAX_NODES (_class_tables).
     """
-    if signature.total_generators < 2:
-        raise ValueError("valid strings need at least two generators")
     lengths = list(lengths)
-    for length in lengths:
-        _check_length(length)
     bad, rows, roots = _class_tables(signature, lengths)
     return BadStringCensus(signature, {
         l: CensusEntry(valid_string_count(signature, l), bad[l],

@@ -109,10 +109,11 @@ class _ConfigError(Exception):
     """A configuration object refused the values given on the command line."""
 
 
-def _config(cls, **fields):
-    """Build a configuration object; its validation error becomes a usage error."""
+def _config(build, *args, **fields):
+    """Build a configuration object, or call a function that validates its
+    arguments; its ValueError becomes a usage error."""
     try:
-        return cls(**fields)
+        return build(*args, **fields)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from None
 
@@ -279,10 +280,7 @@ def _signature(text: str) -> GroupSignature:
 def _cmd_census(args, manifest: _Manifest) -> int:
     sig = args.group
     lengths = range(2, args.max_length + 1, 2)
-    try:
-        census = take_census(sig, lengths)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+    census = _config(take_census, sig, lengths)
     print(f"group {sig}, lengths {lengths.start}..{args.max_length}")
     print(f"{'length':>6} {'valid':>14} {'bad':>8} {'kernels':>8} {'frequency':>12}")
     for length in census.lengths():
@@ -327,14 +325,10 @@ def _cmd_sample(args, manifest: _Manifest) -> int:
 
 def _cmd_verify_series(args, manifest: _Manifest) -> int:
     sig = args.group
-    total = sig.total_generators
     if args.a is None:
-        args.a = (1 - args.alpha0) / (2 * total)
-    try:
-        weights = WalkWeights(args.alpha0, {base: args.a for base in sig.bases()})
-        tables = dp_tables(sig, weights, args.n_max)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from None
+        args.a = (1 - args.alpha0) / (2 * sig.total_generators)
+    weights = _config(WalkWeights.uniform, sig, args.a, args.alpha0)
+    tables = _config(dp_tables, sig, weights, args.n_max)
     residuals = verify_recurrences(tables)
     bundle = generating_functions(tables)
     mode = "probability" if weights.is_probability_mode else "norm"
@@ -390,7 +384,6 @@ def _cmd_spectral(args, manifest: _Manifest) -> int:
         a=args.a,
         trials=args.trials,
         seed=args.seed,
-        tol=args.tol,
     )
     estimate = _cli.estimate_z_inverse(config)
     print(
@@ -512,9 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--tol", type=float, default=1e-6, help="bound on the relative Ritz residual (s >= 2)"
-    )
     add_out(p)
     p.set_defaults(func=_cmd_spectral)
 

@@ -364,11 +364,7 @@ def _return_gfs(tables: ProbabilityTables) -> tuple[Series, Series, Series]:
     h = list(g)
     g[0::2] = tables.even_returns
     h[1::2] = tables.lagged_returns[1:]
-    # one Series per table object, times the generators sharing it
-    excursions = list(tables.excursion_returns.values())
-    total = Series.constant(0, len(g) - 1)
-    for table in {id(t): t for t in excursions}.values():
-        total = total + Series(table).scale(sum(t is table for t in excursions))
+    total = sum(map(Series, tables.excursion_returns.values()), Series.constant(0, len(g) - 1))
     return Series(g), Series(h), total
 
 
@@ -475,15 +471,9 @@ def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
     zero = Fraction(0)
     returns_gf, lagged_gf, total = _return_gfs(tables)
 
-    built = {}
-
     def step_indexed(table) -> Series:
-        # one Series per table object, shared by the generators holding it
-        series = built.get(id(table))
-        if series is None:
-            coeffs = list(table) + [zero] * (degree + 1 - len(table))
-            series = built[id(table)] = Series(coeffs[: degree + 1])
-        return series
+        coeffs = list(table) + [zero] * (degree + 1 - len(table))
+        return Series(coeffs[: degree + 1])
 
     excursion_gf = {g: step_indexed(t) for g, t in tables.excursion_returns.items()}
     detour_gf = {g: step_indexed(t) for g, t in tables.detour_returns.items()}

@@ -1,16 +1,18 @@
 """Haar-unitary norm experiment: sample independent unitaries and compute
 the 2-norm of T = a * sum_i (U_i (x) I + I (x) V_i) without forming it.
 
-T is the tensor sum A (x) I + I (x) B with A = a sum_i U_i and
-B = a sum_i V_i, so a product with T costs two N x N matmuls for any s.
+Trials run at unit weight: T = a T1 with T1 the tensor sum
+A (x) I + I (x) B, A = sum_i U_i and B = sum_i V_i, and a multiplies the
+norm of T1 once at the end, so the steps taken and the relative residual
+do not depend on a.  A product with T1 costs two N x N matmuls for any s.
 
-For s >= 2 the norm comes from three-term Lanczos on T*T, which keeps two
+For s >= 2 the norm comes from three-term Lanczos on T1*T1, which keeps two
 vectors and no Krylov basis.  It stops on the Ritz residual: with theta the
 largest eigenvalue of the k x k Lanczos tridiagonal and y its unit
-eigenvector, some eigenvalue of T*T lies within beta_k |e_k^T y| of theta
+eigenvector, some eigenvalue of T1*T1 lies within beta_k |e_k^T y| of theta
 (Parlett, The Symmetric Eigenvalue Problem, ch. 13), and theta approaches
 the largest one from below.  For s = 1, U (x) I and I (x) V are commuting
-normal operators, so T is normal and its norm is a max |lambda_i + mu_j|
+normal operators, so T1 is normal and its norm is max |lambda_i + mu_j|
 over the eigenvalues of U and V, computed directly.
 
 The mean over trials approximates the reciprocal radius the bounds module
@@ -35,6 +37,8 @@ from . import rng
 KRYLOV_DIM = 200
 # Products with T*T per trial, restart rebuilds included.
 MAX_ITERS = 5000
+# A trial converges once its relative Ritz residual is at most this.
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,6 @@ class SpectralConfig:
     a: float = 1.0
     trials: int = 4
     seed: int = 0
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.s < 1:
@@ -53,19 +56,15 @@ class SpectralConfig:
             raise ValueError("N must be >= 2")
         if not 0 < self.a < math.inf:
             raise ValueError("a must be a positive finite number")
-        # T*T reaches the squared ceiling (2sa)^2, and the Lanczos norms and
-        # the tridiagonal eigensolver square its entries once more: out of
-        # the normal float range, trials fail or come out wrong
+        # the norm is at most the ceiling 2sa: past the float range it would
+        # overflow, below the normal range it would lose digits
         ceiling = 2.0 * self.s * self.a
-        fourth = (ceiling * ceiling) * (ceiling * ceiling)  # ** raises on overflow
-        if not math.isfinite(fourth):
-            raise ValueError(f"a = {self.a} is too large: (2sa)^4 overflows a float")
-        if fourth < sys.float_info.min:
-            raise ValueError(f"a = {self.a} is too small: (2sa)^4 underflows a float")
+        if ceiling == math.inf:
+            raise ValueError(f"a = {self.a} is too large: the ceiling 2sa overflows a float")
+        if ceiling < sys.float_info.min:
+            raise ValueError(f"a = {self.a} is too small: the ceiling 2sa = {ceiling} is subnormal")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be a positive finite number")
 
 
 def haar_unitary(N: int, gen: np.random.Generator) -> np.ndarray:
@@ -134,7 +133,7 @@ def _top_ritz(alphas: list, betas: list) -> tuple[float, np.ndarray]:
 def two_norm(
     a: np.ndarray,
     b: np.ndarray,
-    tol: float = 1e-6,
+    tol: float = TOL,
     gen: np.random.Generator | None = None,
 ) -> TrialNorm:
     """Largest singular value of T = A (x) I + I (x) B by restarted Lanczos
@@ -207,31 +206,30 @@ def estimate_z_inverse(config: SpectralConfig) -> NormEstimate:
 
     Each trial draws 2s Haar unitaries and, for s >= 2, a Lanczos start
     vector from its own derived stream, so trial k is reproducible in
-    isolation.  Every norm is checked against the triangle-inequality
-    ceiling 2 s a.
+    isolation.  Each trial runs at unit weight, A = sum_i U_i and
+    B = sum_i V_i, and its norm is checked against the triangle-inequality
+    ceiling 2s before it is multiplied by a.
     """
     results = []
-    ceiling = 2.0 * config.s * config.a
+    ceiling = 2.0 * config.s
     for trial in range(config.trials):
         gen = rng.philox(config.seed, 0x5EC7, trial)
         left = tuple(haar_unitary(config.N, gen) for _ in range(config.s))
         right = tuple(haar_unitary(config.N, gen) for _ in range(config.s))
         if config.s == 1:
-            # T is normal with eigenvalues a (lambda_i + mu_j)
+            # T1 is normal with eigenvalues lambda_i + mu_j
             lam, mu = np.linalg.eigvals(left[0]), np.linalg.eigvals(right[0])
-            sigma = config.a * float(np.abs(lam[:, None] + mu).max())
-            result = TrialNorm(sigma, 0, True, 0.0)
+            result = TrialNorm(float(np.abs(lam[:, None] + mu).max()), 0, True, 0.0)
         else:
-            a, b = config.a * sum(left), config.a * sum(right)
-            result = two_norm(a, b, tol=config.tol, gen=gen)
+            result = two_norm(sum(left), sum(right), gen=gen)
         if result.norm > ceiling * (1.0 + 1e-9):
             raise RuntimeError(
-                f"trial {trial}: norm {result.norm} exceeds the ceiling {ceiling}"
+                f"trial {trial}: unit-weight norm {result.norm} exceeds the ceiling {ceiling}"
             )
         results.append(result)
     return NormEstimate(
         config=config,
-        norms=tuple(r.norm for r in results),
+        norms=tuple(config.a * r.norm for r in results),
         iterations=tuple(r.steps for r in results),
         converged=tuple(r.converged for r in results),
         residuals=tuple(r.residual for r in results),

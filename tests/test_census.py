@@ -125,14 +125,26 @@ class TestBadCounts:
 
     def test_budget_guard(self, monkeypatch):
         # the searches at length 8 visit at most 9 * 16 nodes, and the node
-        # cap binds exactly there, for the census and for the enumeration
+        # cap binds exactly there, for the census and for the enumeration;
+        # the bad count alone runs no search, so the cap does not bind it
         monkeypatch.setattr(census_module, "MAX_NODES", 144)
-        assert count_bad_exact(F2F2, 8) == len(list(iter_bad_strings(F2F2, 8))) == 16
+        assert count_bad_exact(F2F2, 8, kernel_only=True) == 16
+        assert len(list(iter_bad_strings(F2F2, 8))) == 16
         monkeypatch.setattr(census_module, "MAX_NODES", 143)
         with pytest.raises(BudgetExceededError, match="search on F2xF2 to length 8: "):
-            count_bad_exact(F2F2, 8)
+            count_bad_exact(F2F2, 8, kernel_only=True)
         with pytest.raises(BudgetExceededError, match="search on F2xF2 to length 8: "):
             next(iter_bad_strings(F2F2, 8))
+        assert count_bad_exact(F2F2, 8) == 16
+
+    def test_bad_count_past_the_node_cap(self, monkeypatch):
+        # the node bound 27 * bad(26) = 158,493,024 refuses the census, while
+        # the bad count comes off the forward walk alone
+        def no_search(*args, **kwargs):
+            raise AssertionError("ran a search")
+
+        monkeypatch.setattr(census_module, "_class_tables", no_search)
+        assert count_bad_exact(F2F2, 26) == 5_870_112
 
     def test_kernels_at_twenty(self):
         # 4.6e9 valid strings, past any enumeration of them: every bad string

@@ -63,12 +63,11 @@ class TestExitCodes:
             ),
             (["radius", "--s", "2", "--a", "-1"], "error: a must be positive"),
             (["spectral", "--s", "2", "--N", "1", "--seed", "1"], "error: N must be >= 2"),
-            *(
-                (
-                    ["spectral", "--s", "2", "--seed", "1", "--tol", tol],
-                    "error: tol must be a positive finite number",
-                )
-                for tol in ("0", "-1", "nan")
+            (["spectral", "--s", "0", "--seed", "1"], "error: s must be >= 1"),
+            (["spectral", "--s", "2", "--trials", "0", "--seed", "1"], "error: trials must be >= 1"),
+            (
+                ["spectral", "--s", "2", "--a", "0", "--seed", "1"],
+                "error: a must be a positive finite number",
             ),
             (["census", "--group", "F1"], "error: valid strings need at least two generators"),
             (["census", "--group", "Z1"], "error: valid strings need at least two generators"),
@@ -84,11 +83,11 @@ class TestExitCodes:
             (["bounds", "--s", "2", "--a", "nan"], "error: a must be finite"),
             (
                 ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e308"],
-                "error: a = 1e+308 is too large: (2sa)^4 overflows a float",
+                "error: a = 1e+308 is too large: the ceiling 2sa overflows a float",
             ),
             (
-                ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e-100"],
-                "error: a = 1e-100 is too small: (2sa)^4 underflows a float",
+                ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e-310"],
+                "error: a = 1e-310 is too small: the ceiling 2sa = 4e-310 is subnormal",
             ),
             (
                 ["radius", "--s", "2", "--a", "1e-320"],
@@ -197,8 +196,9 @@ class TestExitCodes:
             ["radius", "--s", "2", "--a", "0.25", "--out", "r"],
             ["census", "--group", "Z3", "--format", "csv"],
             ["census", "--group", "Z3", "--threads", "2"],
+            ["spectral", "--s", "2", "--seed", "1", "--tol", "1e-6"],
         ],
-        ids=["radius-out", "format", "threads"],
+        ids=["radius-out", "format", "threads", "tol"],
     )
     def test_retired_flags_are_usage_errors(self, argv):
         assert run(argv) == 2
@@ -772,6 +772,14 @@ class TestSpectral:
         assert summary["trials"] == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"]["spectral.csv"] == digest(out / "spectral.csv")
+
+    def test_tiny_a_answers(self, tmp_path):
+        # every trial runs at unit weight, so only 2sa must be a normal float
+        out = tmp_path / "sp"
+        argv = ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e-100"]
+        assert run(argv + ["--out", str(out)]) == 0
+        summary = json.loads((out / "spectral_summary.json").read_text())
+        assert 0 < summary["mean"] <= 4e-100 and summary["all_converged"]
 
     def test_unconverged_trials_write_then_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "MAX_ITERS", 2)

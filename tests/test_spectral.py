@@ -252,29 +252,36 @@ class TestEstimate:
             SpectralConfig(s=0, N=10)
         with pytest.raises(ValueError):
             SpectralConfig(s=1, N=1)
-        # tol <= 0 or nan would never stop a trial, tol = inf would stop it at once
-        for tol in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="tol must be a positive finite number"):
-                SpectralConfig(s=2, N=10, tol=tol)
         # a <= 0 fails the ceiling 2sa, nan fails the eigenvalue solver
         for a in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="a must be a positive finite number"):
                 SpectralConfig(s=2, N=10, a=a)
-        # Lanczos squares the entries of T*T, which reach (2sa)^2
-        edge = sys.float_info.max ** 0.25 / 4
-        SpectralConfig(s=2, N=10, a=edge * 0.999)
-        for a in (edge * 1.001, 1e100, 1e308):
-            with pytest.raises(ValueError, match=r"too large: \(2sa\)\^4 overflows"):
+        # the trials run at unit weight; only the ceiling 2sa must be a normal float
+        top, bottom = sys.float_info.max / 4, sys.float_info.min / 4
+        for a in (top, 1e-100, bottom):
+            SpectralConfig(s=2, N=10, a=a)
+        for a in (math.nextafter(top, math.inf), 1e308, math.nextafter(bottom, 0), 5e-324):
+            with pytest.raises(ValueError, match=r"too (large|small): the ceiling 2sa"):
                 SpectralConfig(s=2, N=10, a=a)
-        edge = sys.float_info.min ** 0.25 / 4
-        SpectralConfig(s=2, N=10, a=edge * 1.001)
-        for a in (edge * 0.999, 1e-100, 5e-324):
-            with pytest.raises(ValueError, match=r"too small: \(2sa\)\^4 underflows"):
-                SpectralConfig(s=2, N=10, a=a)
+        with pytest.raises(TypeError):
+            SpectralConfig(s=2, N=10, tol=1e-6)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("a", [0.25, 4.0, 1e-100])
+    def test_norms_scale_exactly_with_a(self, s, a):
+        # trials run at unit weight and a multiplies each norm once, so the
+        # steps and residuals do not depend on a
+        config = SpectralConfig(s=s, N=12, trials=3, seed=2)
+        unit = estimate_z_inverse(config)
+        scaled = estimate_z_inverse(dataclasses.replace(config, a=a))
+        assert scaled.norms == tuple(a * x for x in unit.norms)
+        assert scaled.iterations == unit.iterations
+        assert scaled.residuals == unit.residuals
+        assert scaled.converged == unit.converged
 
     @pytest.mark.parametrize("a", [1e76, 3.1e-78])
     def test_extreme_a_within_range_scales_the_norm(self, a):
-        # the whole computation scales with a, up to rounding
+        # the norm is a times the unit-weight norm, rounded once
         config = SpectralConfig(s=2, N=6, trials=1, seed=0)
         scaled = estimate_z_inverse(dataclasses.replace(config, a=a))
         assert scaled.norms[0] == pytest.approx(a * estimate_z_inverse(config).norms[0], rel=1e-5)
