@@ -15,24 +15,24 @@ more.  The census tag is the last letter and its rule bars that letter's
 inverse, so the walk counts valid strings, and the bad ones end with every
 stack empty.  The `series` rule has no bar and counts every closed walk;
 Grigorchuk's cogrowth formula ties the two counts exactly.  A backward
-sweep keeps the classes that still complete to a bad string, and the
-depth-first search that lists the bad strings follows them, so it visits
-only prefixes of bad strings.  One forward walk to the longest length and
-one backward sweep serve every length of a census.  The walk holds at most
-MAX_STATES classes a step, the searches run only when the bad counts bound
-their nodes by MAX_NODES, and a fixed limit on the length refuses far ones.
+sweep keeps the classes that still complete to a bad string, and one
+depth-first search, `_search`, follows them, so it visits only prefixes of
+bad strings.  One forward walk to the longest length and one backward
+sweep serve every length of a census.  The walk holds at most MAX_STATES
+classes a step, the search runs only when the bad counts bound its nodes
+by MAX_NODES, and a fixed limit on the length refuses far ones.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
 of the first k letters, so a bad string is a kernel exactly when P_0, ...,
-P_{L-1} are pairwise distinct.  The kernel count is a second search over
-the live classes that cuts a prefix, with all it leads to, as soon as some
-P_k with k < L repeats an earlier product on its path; every leaf it
-reaches is then a kernel.  Permuting the generators inside a factor, or
-swapping two factors of equal rank, maps valid, bad and kernel strings to
-themselves, so that search opens only with generator 0 of the first factor
-of each rank and weights the count by rank times the number of factors of
-that rank.
+P_{L-1} are pairwise distinct.  The same search lists the bad strings or
+counts the kernels: in its kernel mode it cuts a prefix, with all it leads
+to, as soon as some P_k with k < L repeats an earlier product on its path,
+so every leaf it reaches is a kernel.  Permuting the generators inside a
+factor, or swapping two factors of equal rank, maps valid, bad and kernel
+strings to themselves, so that mode opens only with generator 0 of the
+first factor of each rank, and the census weights each leaf by rank times
+the number of factors of that rank.
 
 Alongside the enumeration sit the closed-form counts (the length-8 and
 length-12 formulas, composition identities) and an
@@ -206,7 +206,7 @@ def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
 
 def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict]:
     """The live classes of the valid strings of the given lengths, which
-    the searches follow.
+    the search follows.
 
     A move's liveness depends only on the class and the r steps left (the
     exponent bit is r mod 2), so one backward sweep over r numbers the live
@@ -214,7 +214,7 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     lists `(factor, pop child, push child)` for every factor with a live
     move out of row c, a dead move as None; roots[l] is the row of the empty
     prefix at r = l, None when no bad string of length l exists.  Every node
-    a search visits is a prefix of a bad string, so the searches are refused
+    the search visits is a prefix of a bad string, so the search is refused
     when the sum of (l+1) * bad(l) over the lengths exceeds MAX_NODES.
     """
     bad, layers, moves, width = _forward_walk(signature, lengths)
@@ -252,122 +252,91 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     return bad, rows, {l: roots.get(l) for l in lengths}
 
 
-def _walk_bad(
-    signature: GroupSignature, length: int, rows: list, root: int | None
+def _search(
+    signature: GroupSignature, length: int, rows: list, root: int | None, kernels: bool = False
 ) -> Iterator[list[tuple[int, int, int]]]:
-    """Depth-first search of the bad valid strings of one length.
+    """Depth-first search of the bad valid strings of one length, or of
+    the kernels among them.
 
     Bases are tried in canonical order, and a move is taken only when the
     class tables of `_class_tables` keep it alive, so every prefix visited
-    completes to a bad string.  Factor f's stack is the integer whose digits
-    in base R = 2 * max rank + 1 are its letters, exp * (gen + 1) mod R, top
-    letter lowest, so the inverse of digit d is R - d.  Yields the live list
-    of (factor, gen, exp) triples of each bad string; the list changes as
-    the search moves on, so read it before the next step.
+    completes to a bad string.  The prefix product P_k is one integer: each
+    factor's stack sits in its own block of length / 2 digits, room enough
+    since a live stack never holds more letters than remain, and a stack's
+    digits in base R = 2 * max rank + 1 are its letters, exp * (gen + 1) mod
+    R, top letter lowest, so the inverse of digit d is R - d.  A live prefix
+    one letter short holds one letter, so the last letter, its inverse, is
+    read off P_{L-1}.  Yields the live list of (factor, gen, exp) triples of
+    each bad string; the list changes as the search moves on, so read it
+    before the next step.
+
+    With `kernels`, a move whose P_k (k < L) is already on the path is cut
+    with its subtree, so every string yielded is a kernel, and only
+    generator 0 of the first factor of each rank opens the search.
+    Permuting the generators of a factor, or swapping two factors of equal
+    rank, maps valid, bad and kernel strings to themselves and keeps the
+    first exponent, so a kernel opening in factor f stands for ranks[f]
+    times the number of factors of that rank.
     """
     if root is None:
         return
     ranks = signature.factors
     radix = 2 * max(ranks) + 1
-    codes = [0] * len(ranks)
-    seq: list[tuple[int, int, int]] = []
-
-    def walk(depth: int, cls: int, prev_factor: int, barred: int):
-        if depth == length:
-            yield seq
-            return
-        exp = 1 if depth % 2 else -1
-        for factor, pop_child, push_child in rows[cls]:
-            code = codes[factor]
-            for gen in range(ranks[factor]):
-                digit = exp * (gen + 1) % radix
-                pops = digit == radix - code % radix
-                child = pop_child if pops else push_child
-                if child is None or (factor == prev_factor and digit == barred):
-                    continue
-                codes[factor] = code // radix if pops else code * radix + digit
-                seq.append((factor, gen, exp))
-                yield from walk(depth + 1, child, factor, radix - digit)
-                seq.pop()
-                codes[factor] = code
-
-    yield from walk(0, root, -1, 0)
-
-
-def _count_kernels(
-    signature: GroupSignature, length: int, rows: list, root: int | None
-) -> int:
-    """Number of kernels among the bad valid strings of one length.
-
-    The search follows the live classes and codes the stacks as `_walk_bad`
-    does, but returns counts.  P_k is one integer holding each factor's
-    stack code in its own block of length / 2 digits, room enough since a
-    live stack never holds more letters than remain.  A move whose P_k
-    (k < L) is already on the path is cut with its subtree, so every leaf
-    reached is a kernel.
-
-    Permuting the generators of a factor, or swapping two factors of equal
-    rank, maps valid, bad and kernel strings to themselves and keeps the
-    first exponent.  So only generator 0 of the first factor of each rank
-    opens the search, and its count is weighted by rank times the number of
-    factors of that rank.
-    """
-    if root is None:
-        return 0
-    ranks = signature.factors
-    radix = 2 * max(ranks) + 1
     block = radix ** (length // 2)
     strides = [block**f for f in range(len(ranks))]
-    digits = [[[exp * (g + 1) % radix for g in range(rank)] for rank in ranks] for exp in (-1, 1)]
+    # tables[k][f]: the (digit, letter) pairs of factor f at step k + 1
+    letters = [[[(exp * (g + 1) % radix, (f, g, exp)) for g in range(rank)]
+                for f, rank in enumerate(ranks)] for exp in (-1, 1)]
+    tables = [letters[k % 2] for k in range(length)]
+    if kernels:
+        tables[0] = [pairs[:ranks.index(ranks[f]) == f] for f, pairs in enumerate(letters[0])]
+    # the last letter, generator g, cancels the stack letter g^-1 of digit R - 1 - g
+    lasts = {(radix - 1 - g) * strides[f]: (f, g, 1)
+             for f, rank in enumerate(ranks) for g in range(rank)}
+    seq: list = [None] * length
+    seen = {0}
 
-    def walk(depth: int, cls: int, key: int, prev_factor: int, barred: int) -> int:
-        found = 0
+    def walk(depth: int, cls: int, key: int, prev_factor: int, barred: int):
+        table, leaf = tables[depth], depth == length - 2
         for factor, pop_child, push_child in rows[cls]:
             stride = strides[factor]
             code = key // stride % block
             cancel = radix - code % radix
             skip = barred if factor == prev_factor else 0
-            for digit in digits[depth % 2][factor]:
+            for digit, letter in table[factor]:
                 if digit == cancel:
                     child, new = pop_child, code // radix
                 else:
                     child, new = push_child, code * radix + digit
                 if child is None or digit == skip:
                     continue
-                if depth == length - 1:
-                    found += 1
-                    continue
                 product = key + (new - code) * stride
-                if product in seen:
+                if kernels and product in seen:
                     continue
-                seen.add(product)
-                found += walk(depth + 1, child, product, factor, radix - digit)
-                seen.remove(product)
-        return found
+                seq[depth] = letter
+                if leaf:
+                    seq[-1] = lasts[product]
+                    yield seq
+                elif kernels:
+                    seen.add(product)
+                    yield from walk(depth + 1, child, product, factor, radix - digit)
+                    seen.remove(product)
+                else:
+                    yield from walk(depth + 1, child, product, factor, radix - digit)
 
-    kernels = 0
-    for factor, _, push_child in rows[root]:
-        rank = ranks[factor]
-        if ranks.index(rank) == factor:
-            # the opening letter, generator 0 to the power -1, has digit R - 1
-            key = (radix - 1) * strides[factor]
-            seen = {0, key}
-            kernels += rank * ranks.count(rank) * walk(1, push_child, key, factor, 1)
-    return kernels
+    yield from walk(0, root, 0, -1, 0)
 
 
 def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
     """The bad valid strings of one length, as Words, in search order."""
     _, rows, roots = _class_tables(signature, [length])
-    for seq in _walk_bad(signature, length, rows, roots[length]):
+    for seq in _search(signature, length, rows, roots[length]):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
-def count_bad_exact(signature: GroupSignature, length: int, kernel_only: bool = False) -> int:
-    """Exact number of bad valid strings (or just the minimal ones).  The
-    bad count comes off the forward walk alone, so no search cap binds it."""
-    if kernel_only:
-        return take_census(signature, [length]).entries[length].kernels
+def count_bad_exact(signature: GroupSignature, length: int) -> int:
+    """Exact number of bad valid strings.  It comes off the forward walk
+    alone, so no search cap binds it."""
     return _forward_walk(signature, [length])[0][length]
 
 
@@ -396,15 +365,18 @@ def take_census(signature: GroupSignature, lengths: Iterable[int]) -> BadStringC
 
     One forward walk to the longest length and one backward sweep give
     every length's bad count and live classes; the search over those
-    classes counts the kernels.  BudgetExceededError refuses the census
-    before any search runs when the walk exceeds MAX_STATES classes at a
-    step or the searches' node bound exceeds MAX_NODES (_class_tables).
+    classes, in its kernel mode, counts the kernels.  BudgetExceededError
+    refuses the census before any search runs when the walk exceeds
+    MAX_STATES classes at a step or the search's node bound exceeds
+    MAX_NODES (_class_tables).
     """
     lengths = list(lengths)
     bad, rows, roots = _class_tables(signature, lengths)
+    ranks = signature.factors
+    orbit = [rank * ranks.count(rank) for rank in ranks]
     return BadStringCensus(signature, {
-        l: CensusEntry(valid_string_count(signature, l), bad[l],
-                       _count_kernels(signature, l, rows, roots[l]))
+        l: CensusEntry(valid_string_count(signature, l), bad[l], sum(
+            orbit[seq[0][0]] for seq in _search(signature, l, rows, roots[l], kernels=True)))
         for l in lengths
     })
 

@@ -389,10 +389,10 @@ def _cmd_spectral(args, manifest: _Manifest) -> int:
     print(
         f"s={args.s} N={args.N} a={args.a} trials={args.trials} seed={args.seed}"
     )
-    print(f"norms: {', '.join(f'{x:.6f}' for x in estimate.norms)}")
+    print(f"norms: {', '.join(f'{x:.6g}' for x in estimate.norms)}")
     print(
-        f"mean = {estimate.mean:.6f}  std = {estimate.std:.3e}  "
-        f"free limit = {_cli.free_limit(args.s, args.a):.6f}"
+        f"mean = {estimate.mean:.6g}  std = {estimate.std:.3e}  "
+        f"free limit = {_cli.free_limit(args.s, args.a):.6g}"
     )
     manifest.add("spectral.csv", write_spectral_csv(estimate))
     manifest.add("spectral_summary.json", _json(spectral_summary(estimate)))

@@ -35,7 +35,7 @@ from leinert.census import (
 )
 from leinert import census as census_module
 from leinert.cli import run, write_census_csv
-from leinert.groups import is_simple_cycle
+from leinert.groups import Word, is_simple_cycle
 from reference_census import (
     _iter_bad_letters,
     composition_sum_enumerated,
@@ -110,9 +110,9 @@ class TestBadCounts:
                 assert count_bad_exact(sig, length) == 0
 
     def test_kernel_only(self):
-        assert count_bad_exact(F2F2, 8, kernel_only=True) == 16
-        assert count_bad_exact(F2F2, 10, kernel_only=True) == 0
-        assert count_bad_exact(Z3, 8, kernel_only=True) == 0
+        assert take_census(F2F2, [8]).entries[8].kernels == 16
+        assert take_census(F2F2, [10]).entries[10].kernels == 0
+        assert take_census(Z3, [8]).entries[8].kernels == 0
 
     @pytest.mark.parametrize(
         "name, length, bad, kernels",
@@ -128,11 +128,11 @@ class TestBadCounts:
         # cap binds exactly there, for the census and for the enumeration;
         # the bad count alone runs no search, so the cap does not bind it
         monkeypatch.setattr(census_module, "MAX_NODES", 144)
-        assert count_bad_exact(F2F2, 8, kernel_only=True) == 16
+        assert take_census(F2F2, [8]).entries[8].kernels == 16
         assert len(list(iter_bad_strings(F2F2, 8))) == 16
         monkeypatch.setattr(census_module, "MAX_NODES", 143)
         with pytest.raises(BudgetExceededError, match="search on F2xF2 to length 8: "):
-            count_bad_exact(F2F2, 8, kernel_only=True)
+            take_census(F2F2, [8])
         with pytest.raises(BudgetExceededError, match="search on F2xF2 to length 8: "):
             next(iter_bad_strings(F2F2, 8))
         assert count_bad_exact(F2F2, 8) == 16
@@ -152,9 +152,46 @@ class TestBadCounts:
         _, rows, roots = census_module._class_tables(F2F2, [20])
         flags = [
             is_simple_cycle(seq, F2F2.num_factors)
-            for seq in census_module._walk_bad(F2F2, 20, rows, roots[20])
+            for seq in census_module._search(F2F2, 20, rows, roots[20])
         ]
         assert (len(flags), sum(flags)) == (59520, 14240)
+
+    def test_enumeration_is_lazy(self, monkeypatch):
+        # the first of the 59,520 bad strings of length 20 builds one Word
+        built = []
+
+        def word(*args):
+            built.append(args)
+            return Word(*args)
+
+        monkeypatch.setattr(census_module, "Word", word)
+        next(iter_bad_strings(F2F2, 20))
+        assert len(built) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ranks=st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(
+            lambda r: 2 <= sum(r) <= 5
+        ),
+        length=st.sampled_from([2, 4, 6, 8, 10]),
+    )
+    @example(ranks=[1, 2, 2], length=8)
+    @example(ranks=[2, 3], length=10)
+    def test_kernel_mode_against_the_enumeration(self, ranks, length):
+        # the kernel mode yields, in order, the kernels among the listed bad
+        # strings that open with generator 0 of the first factor of their rank
+        sig = GroupSignature(tuple(ranks))
+        _, rows, roots = census_module._class_tables(sig, [length])
+
+        def leaves(kernels):
+            search = census_module._search(sig, length, rows, roots[length], kernels)
+            return [tuple(seq) for seq in search]
+
+        openers = {(ranks.index(rank), 0, -1) for rank in ranks}
+        assert leaves(True) == [
+            seq for seq in leaves(False)
+            if seq[0] in openers and is_simple_cycle(seq, len(ranks))
+        ]
 
 
 class TestCensusObject:
@@ -183,7 +220,7 @@ class TestCensusObject:
             raise AssertionError("ran past a cap")
 
         monkeypatch.setattr("leinert.census._walk", no_work)
-        monkeypatch.setattr("leinert.census._count_kernels", no_work)
+        monkeypatch.setattr("leinert.census._search", no_work)
         with pytest.raises(BudgetExceededError, match="to length 98, valid prefixes at step 49: "):
             take_census(F2F2, range(2, 100, 2))
         # the patched names are the ones a census within the caps calls

@@ -237,11 +237,11 @@ class TestCensus:
         [(12, 2367, 2368), (26, 150_000_000, 197_930_864)],
     )
     def test_node_cap_refuses_before_the_search(self, max_length, cap, bound, monkeypatch, capsys):
-        def no_search(*args):
+        def no_search(*args, **kwargs):
             raise AssertionError("searched past the node cap")
 
         monkeypatch.setattr("leinert.census.MAX_NODES", cap)
-        monkeypatch.setattr("leinert.census._count_kernels", no_search)
+        monkeypatch.setattr("leinert.census._search", no_search)
         assert run(["census", "--group", "F2xF2", "--max-length", str(max_length)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"budget exceeded: search on F2xF2 to length {max_length}: "
@@ -780,6 +780,15 @@ class TestSpectral:
         assert run(argv + ["--out", str(out)]) == 0
         summary = json.loads((out / "spectral_summary.json").read_text())
         assert 0 < summary["mean"] <= 4e-100 and summary["all_converged"]
+
+    def test_tiny_a_prints_its_values(self, tmp_path, capsys):
+        # the terminal shows the mean to 6 significant digits, not as 0
+        out = tmp_path / "sp"
+        argv = ["spectral", "--s", "2", "--N", "5", "--seed", "0", "--a", "1e-100"]
+        assert run(argv + ["--out", str(out)]) == 0
+        summary = json.loads((out / "spectral_summary.json").read_text())
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("mean = "))
+        assert line.split()[2] == f"{summary['mean']:.6g}"
 
     def test_unconverged_trials_write_then_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "MAX_ITERS", 2)
