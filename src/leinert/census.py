@@ -252,9 +252,8 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     return bad, rows, {l: roots.get(l) for l in lengths}
 
 
-def _search(
-    signature: GroupSignature, length: int, rows: list, root: int | None, kernels: bool = False
-) -> Iterator[list[tuple[int, int, int]]]:
+def _search(signature: GroupSignature, length: int, rows: list, root: int | None,
+            kernels: bool = False) -> Iterator[list[tuple[int, int, int]]]:
     """Depth-first search of the bad valid strings of one length, or of
     the kernels among them.
 
@@ -325,6 +324,7 @@ def _search(
                     yield from walk(depth + 1, child, product, factor, radix - digit)
 
     yield from walk(0, root, 0, -1, 0)
+    del walk  # its closure holds it: free the tables now, not at a collection
 
 
 def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:

@@ -1,5 +1,6 @@
 """Exact enumeration: valid-string counts, bad censuses, walk identities."""
 
+import gc
 import math
 
 import pytest
@@ -167,6 +168,18 @@ class TestBadCounts:
         monkeypatch.setattr(census_module, "Word", word)
         next(iter_bad_strings(F2F2, 20))
         assert len(built) == 1
+
+    def test_finished_search_leaves_no_cycles(self):
+        # a finished search frees its class tables by reference count, so
+        # the collector has nothing of it to find
+        gc.collect()
+        gc.disable()
+        try:
+            take_census(F2F2, [8, 10])
+            assert len(list(iter_bad_strings(F2F2, 8))) == 16
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=30, deadline=None)
     @given(
