@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -193,7 +194,8 @@ def _exact(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, Series):
-        return _exact(value.coeffs)
+        # each numerator over the common denominator, in lowest terms
+        return [f"{n // g}/{value.den // g}" for n in value.nums for g in (math.gcd(n, value.den),)]
     if isinstance(value, (list, tuple)):
         return [_exact(v) for v in value]
     if isinstance(value, dict):
@@ -443,7 +445,16 @@ def _cmd_figure(args, manifest: _Manifest) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = ("census", "sample", "verify-series", "radius", "bounds", "spectral", "figure")
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only `subcommand`.
+
+    A run needs only the subcommand it names, and a one-subcommand parser
+    parses its command lines to the same Namespace, with the same help and
+    the same errors: its usage line spells out the full list of choices.
+    """
     parser = argparse.ArgumentParser(
         prog="leinert",
         description="Bad-string statistics in products of free groups: "
@@ -451,79 +462,81 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds, and Haar-unitary norm experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    choices = None if subcommand is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=choices)
+
+    def add(name, func, help):
+        """The subcommand's parser, or None if this parser leaves it out."""
+        if subcommand not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
     def add_out(p):
         p.add_argument("--out", type=Path, default=None, help="output directory")
 
-    p = sub.add_parser("census", help="exact bad-string counts by length")
-    p.add_argument("--group", type=_signature, required=True)
-    p.add_argument("--max-length", type=_max_length, default=12)
-    add_out(p)
-    p.set_defaults(func=_cmd_census)
+    if p := add("census", _cmd_census, "exact bad-string counts by length"):
+        p.add_argument("--group", type=_signature, required=True)
+        p.add_argument("--max-length", type=_max_length, default=12)
+        add_out(p)
 
-    p = sub.add_parser("sample", help="Monte Carlo bad-string frequencies")
-    p.add_argument("--group", type=_signature, required=True)
-    p.add_argument("--max-length", type=_max_length, default=12)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    add_out(p)
-    p.set_defaults(func=_cmd_sample)
+    if p := add("sample", _cmd_sample, "Monte Carlo bad-string frequencies"):
+        p.add_argument("--group", type=_signature, required=True)
+        p.add_argument("--max-length", type=_max_length, default=12)
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=None)
+        add_out(p)
 
-    p = sub.add_parser(
-        "verify-series", help="exact walk tables and recurrence residuals"
-    )
-    p.add_argument("--group", type=_signature, required=True)
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--alpha0", type=_parse_rational, default=Fraction(0))
-    p.add_argument(
-        "--a",
-        type=_parse_rational,
-        default=None,
-        help="per-generator weight; default fills probability mode",
-    )
-    add_out(p)
-    p.set_defaults(func=_cmd_verify_series)
+    if p := add("verify-series", _cmd_verify_series, "exact walk tables and recurrence residuals"):
+        p.add_argument("--group", type=_signature, required=True)
+        p.add_argument("--n-max", type=int, default=5)
+        p.add_argument("--alpha0", type=_parse_rational, default=Fraction(0))
+        p.add_argument(
+            "--a",
+            type=_parse_rational,
+            default=None,
+            help="per-generator weight; default fills probability mode",
+        )
+        add_out(p)
 
-    p = sub.add_parser("radius", help="discriminant breakdown radius")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
-    p.set_defaults(func=_cmd_radius)
+    if p := add("radius", _cmd_radius, "discriminant breakdown radius"):
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
 
-    p = sub.add_parser("bounds", help="radius bound report and curve table")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
-    p.add_argument("--s-range", type=_parse_range, default=range(2, 9))
-    add_out(p)
-    p.set_defaults(func=_cmd_bounds)
+    if p := add("bounds", _cmd_bounds, "radius bound report and curve table"):
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
+        p.add_argument("--s-range", type=_parse_range, default=range(2, 9))
+        add_out(p)
 
-    p = sub.add_parser("spectral", help="Haar-unitary norm experiment")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--N", type=int, default=75)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
-    add_out(p)
-    p.set_defaults(func=_cmd_spectral)
+    if p := add("spectral", _cmd_spectral, "Haar-unitary norm experiment"):
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--N", type=int, default=75)
+        p.add_argument("--a", type=float, default=1.0)
+        p.add_argument("--trials", type=int, default=4)
+        p.add_argument("--seed", type=int, default=None)
+        add_out(p)
 
-    p = sub.add_parser("figure", help="emit the three figure data tables")
-    p.add_argument("--s-range", type=_parse_range, default=range(2, 7))
-    p.add_argument("--N", type=int, default=40)
-    p.add_argument("--trials", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20_000)
-    p.add_argument("--max-length", type=_max_length, default=12)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
-    p.add_argument("--out", type=Path, default=Path("figures"))
-    p.set_defaults(func=_cmd_figure)
+    if p := add("figure", _cmd_figure, "emit the three figure data tables"):
+        p.add_argument("--s-range", type=_parse_range, default=range(2, 7))
+        p.add_argument("--N", type=int, default=40)
+        p.add_argument("--trials", type=int, default=2)
+        p.add_argument("--samples", type=int, default=20_000)
+        p.add_argument("--max-length", type=_max_length, default=12)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--d-bound", type=_parse_d_bound, default=DBound.zero())
+        p.add_argument("--out", type=Path, default=Path("figures"))
 
     return parser
 
 
-# run parses with one parser per process: on a 2-vCPU VM building one took
-# 1.6-4 ms, a quarter to a third of a whole verify-series run
+# run parses with one parser per process, holding only the subcommand it
+# runs: on a 2-vCPU VM a fresh process built a verify-series-only parser in
+# 2.1-3.4 ms against 4.5-5.4 ms for the full one (10 processes each), whose
+# cost was about a quarter of a whole verify-series run
 _parser = functools.cache(build_parser)
 
 
@@ -535,8 +548,9 @@ def run(argv=None) -> int:
     # 0.33 s on one, in about the same wall time, and import numpy took 0.17 s
     # against 0.09 s.  A value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     manifest = _Manifest(args.subcommand)

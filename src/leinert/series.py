@@ -54,10 +54,18 @@ numerator.  That one Fraction per step turns the classes the tables read
 (home, the opening letter) into exact weights; no other class is ever
 normalised.  In norm mode at a = 1, q is 1 and the numerators are path
 counts.
+
+The checks run on integers too.  A `Series` holds integer numerators over
+one common denominator, in lowest terms, so verify_recurrences and
+generating_functions add, convolve and invert integers, and each residual
+is one numerator over its series' denominator.  A Series takes the least
+common denominator of the Fractions it is given, so it is exact for any
+table, not only for integers over the walk's q^k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -195,9 +203,15 @@ def dp_tables(
     home = _class(width, [1] * signature.num_factors)
     one = Fraction(1)
 
+    # walks that track one mark run one rule, so they share its move cache
+    rules = {}
+
     def walk(start, weight, times, first_plain, mark=None, masked=None):
-        rule = _moves(signature.factors, mark)
-        return _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain, masked)
+        if mark not in rules:
+            rules[mark] = _moves(signature.factors, mark), {}
+        rule, moves = rules[mark]
+        return _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain,
+                     masked, moves)
 
     def home_weights(*args):
         """The weight at home after each step of a walk from home."""
@@ -272,87 +286,123 @@ class Series:
     """Power series truncated at a fixed degree, exact coefficients.
 
     Arithmetic truncates to the smaller degree of its operands, so degrees
-    never silently grow.  Coefficients are Fractions throughout.
+    never silently grow.  The coefficients are held as integer numerators
+    `nums` over one positive denominator `den`, in lowest terms: den is the
+    least common denominator of the coefficients, so equal series hold
+    equal numerators.  Sums align the two denominators once, products are
+    integer convolutions, and the reciprocal is an integer recursion; a
+    Fraction is built only when `coeffs` or `series[k]` is read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
-        # the arithmetic below hands over Fractions already: keep them
-        if not all(type(c) is Fraction for c in coeffs):
-            coeffs = tuple(map(Fraction, coeffs))
-        self.coeffs = coeffs
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
+        try:  # ints and Fractions, the values the package hands over
+            ratios = [c.as_integer_ratio() for c in coeffs]
+        except AttributeError:
+            ratios = [Fraction(c).as_integer_ratio() for c in coeffs]
+        self.den = math.lcm(*(d for _, d in ratios))
+        self.nums = tuple(n * (self.den // d) for n, d in ratios)
+
+    @classmethod
+    def _of(cls, nums, den: int) -> "Series":
+        """The series nums / den, for a positive den, in lowest terms."""
+        series = cls.__new__(cls)
+        g = math.gcd(den, *nums)
+        series.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        series.den = den // g
+        return series
 
     @classmethod
     def constant(cls, value, degree: int) -> "Series":
-        return cls((Fraction(value),) + (Fraction(0),) * degree)
+        return cls.monomial(value, 0, degree)
 
     @classmethod
     def monomial(cls, value, power: int, degree: int) -> "Series":
-        if power > degree:
-            return cls.constant(0, degree)
-        coeffs = [Fraction(0)] * (degree + 1)
-        coeffs[power] = Fraction(value)
-        return cls(coeffs)
+        value = Fraction(value)
+        nums = [0] * (degree + 1)
+        if power <= degree:
+            nums[power] = value.numerator
+        return cls._of(nums, value.denominator)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return isinstance(other, Series) and (self.nums, self.den) == (other.nums, other.den)
 
     def __add__(self, other: "Series") -> "Series":
-        k = min(self.degree, other.degree)
-        return Series([a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1])])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Series._of([x * a + y * b for x, y in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "Series") -> "Series":
-        k = min(self.degree, other.degree)
-        return Series([a - b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1])])
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return Series._of([x * a - y * b for x, y in zip(self.nums, other.nums)], den)
 
     def __mul__(self, other: "Series") -> "Series":
-        k = min(self.degree, other.degree)
-        out = [Fraction(0)] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
-            if not a:
-                continue
-            for j in range(k + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
+        k = min(len(self.nums), len(other.nums))
+        out = [0] * k
+        terms = [(j, y) for j, y in enumerate(other.nums[:k]) if y]
+        for i, x in enumerate(self.nums[:k]):
+            if x:
+                for j, y in terms:
+                    if i + j >= k:
+                        break
+                    out[i + j] += x * y
+        return Series._of(out, self.den * other.den)
 
     def scale(self, factor) -> "Series":
         factor = Fraction(factor)
-        return Series([factor * c for c in self.coeffs])
+        return Series._of([factor.numerator * n for n in self.nums], self.den * factor.denominator)
 
     def shift(self, powers: int) -> "Series":
         """Multiply by z^powers, truncating at the existing degree."""
         if powers < 0:
             raise ValueError("can only shift by nonnegative powers")
-        coeffs = (Fraction(0),) * powers + self.coeffs
-        return Series(coeffs[: self.degree + 1])
+        return Series._of(((0,) * powers + self.nums)[: len(self.nums)], self.den)
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse via the geometric convolution recursion."""
-        a0 = self.coeffs[0]
-        if not a0:
+        """Multiplicative inverse via the geometric convolution recursion.
+
+        With a = n / den, 1/a = den / n, and the recursion on the integer
+        series n keeps c_k = n0^(k+1) [z^k] (1/n) an integer:
+        c_0 = 1 and c_k = -sum_{j=1..k} n_j n0^(j-1) c_(k-j).
+        """
+        n = self.nums
+        n0 = n[0]
+        if not n0:
             raise ValueError("reciprocal needs a nonzero constant term")
-        inv0 = 1 / a0
-        out = [inv0] + [Fraction(0)] * self.degree
-        for n in range(1, self.degree + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * out[n - k]
-            out[n] = -acc * inv0
-        return Series(out)
+        powers = [1]
+        for _ in n[1:]:
+            powers.append(powers[-1] * n0)
+        terms = [(j, n[j] * powers[j - 1]) for j in range(1, len(n)) if n[j]]
+        c = [1]
+        for k in range(1, len(n)):
+            acc = 0
+            for j, t in terms:
+                if j > k:
+                    break
+                acc -= t * c[k - j]
+            c.append(acc)
+        # [z^k] 1/a = den c_k n0^(degree - k) / n0^(degree + 1)
+        top = powers[-1] * n0
+        sign = 1 if top > 0 else -1
+        return Series._of(
+            [sign * self.den * ck * p for ck, p in zip(c, reversed(powers))], sign * top
+        )
 
 
 # -- recurrences and generating functions ------------------------------------
@@ -360,7 +410,7 @@ class Series:
 def _return_gfs(tables: ProbabilityTables) -> tuple[Series, Series, Series]:
     """The even returns at even degrees, the lagged returns at odd degrees,
     and the summed excursion tables, all as series of degree 2*n_max."""
-    g = [Fraction(0)] * (2 * tables.n_max + 1)
+    g = [0] * (2 * tables.n_max + 1)
     h = list(g)
     g[0::2] = tables.even_returns
     h[1::2] = tables.lagged_returns[1:]
@@ -370,7 +420,8 @@ def _return_gfs(tables: ProbabilityTables) -> tuple[Series, Series, Series]:
 
 def _distinct_generators(tables: ProbabilityTables) -> list[tuple]:
     """The (alpha, excursions, detours, avoiding even, avoiding odd) of the
-    generators, once per distinct set of objects.
+    generators, once per distinct set of objects, each with the list of
+    generators that hold it.
 
     dp_tables hands the generators of symmetric factors the same tuple
     objects, and every residual is a maximum over generators, so checking
@@ -387,13 +438,16 @@ def _distinct_generators(tables: ProbabilityTables) -> list[tuple]:
             tables.avoiding_even_returns[gen],
             tables.avoiding_odd_returns[gen],
         )
-        distinct.setdefault(tuple(map(id, key)), key)
+        distinct.setdefault(tuple(map(id, key)), (key, []))[1].append(gen)
     return list(distinct.values())
 
 
-def _largest(diffs, first: int) -> Fraction:
-    """Largest |coefficient| of the series at degrees first, first + 2, ..."""
-    return max((abs(c) for d in diffs for c in d.coeffs[first::2]), default=Fraction(0))
+def _largest(diffs, first: int, step: int = 2) -> Fraction:
+    """Largest |coefficient| of the series at degrees first, first + step, ..."""
+    return max(
+        (Fraction(max(map(abs, d.nums[first::step]), default=0), d.den) for d in diffs),
+        default=Fraction(0),
+    )
 
 
 def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
@@ -418,10 +472,10 @@ def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
 
     def times_z(series: Series, powers: int = 1) -> Series:
         # unlike shift, keeps every coefficient: the degree grows by `powers`
-        return Series((Fraction(0),) * powers + series.coeffs)
+        return Series._of((0,) * powers + series.nums, series.den)
 
     avoid_even, avoid_odd, split = [], [], []
-    for alpha, f, d, A, B in _distinct_generators(tables):
+    for (alpha, f, d, A, B), _ in _distinct_generators(tables):
         f, A, B = Series(f), Series(A), Series(B)
         avoid_even.append(A - (F - f) * A - times_z(B).scale(alpha0))
         avoid_odd.append(B - F * B - times_z(A).scale(alpha0))
@@ -468,32 +522,23 @@ class SeriesBundle:
 
 def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
     degree = 2 * tables.n_max
-    zero = Fraction(0)
     returns_gf, lagged_gf, total = _return_gfs(tables)
 
     def step_indexed(table) -> Series:
-        coeffs = list(table) + [zero] * (degree + 1 - len(table))
+        coeffs = list(table) + [0] * (degree + 1 - len(table))
         return Series(coeffs[: degree + 1])
 
-    excursion_gf = {g: step_indexed(t) for g, t in tables.excursion_returns.items()}
-    detour_gf = {g: step_indexed(t) for g, t in tables.detour_returns.items()}
-    avoiding_even_gf = {g: step_indexed(t) for g, t in tables.avoiding_even_returns.items()}
-    avoiding_odd_gf = {g: step_indexed(t) for g, t in tables.avoiding_odd_returns.items()}
-
-    lazy_gf = (
-        Series.monomial(tables.weights.alpha0**2, 2, degree)
-        * (Series.constant(1, degree) - total).reciprocal()
-    )
+    # generators sharing their tables share their series too
+    excursion_gf, detour_gf, avoiding_even_gf, avoiding_odd_gf = {}, {}, {}, {}
+    splits = []
+    for (alpha, *four), gens in _distinct_generators(tables):
+        f, d, A, B = map(step_indexed, four)
+        splits.append(f - A.shift(2).scale(alpha * alpha) - d)
+        for g in gens:
+            excursion_gf[g], detour_gf[g], avoiding_even_gf[g], avoiding_odd_gf[g] = f, d, A, B
 
     one = Series.constant(1, degree)
-    recip_residual = returns_gf * (one - total - lazy_gf) - one
-    worst_recip = max((abs(c) for c in recip_residual.coeffs), default=zero)
-
-    worst_split = zero
-    for alpha, f, d, A, _ in _distinct_generators(tables):
-        predicted = step_indexed(A).shift(2).scale(alpha * alpha) + step_indexed(d)
-        diff = step_indexed(f) - predicted
-        worst_split = max(worst_split, max(abs(c) for c in diff.coeffs))
+    lazy_gf = Series.monomial(tables.weights.alpha0**2, 2, degree) * (one - total).reciprocal()
 
     return SeriesBundle(
         returns_gf=returns_gf,
@@ -505,7 +550,7 @@ def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
         detour_gf=detour_gf,
         lazy_gf=lazy_gf,
         residuals={
-            "reciprocal_relation": worst_recip,
-            "excursion_split": worst_split,
+            "reciprocal_relation": _largest([returns_gf * (one - total - lazy_gf) - one], 0, 1),
+            "excursion_split": _largest(splits, 0, 1),
         },
     )

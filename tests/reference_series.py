@@ -1,19 +1,27 @@
-"""Reference recurrence check: the hand-indexed convolution loops.
+"""Reference series checks: the hand-indexed recurrence loops, and the
+generating functions in Fraction arithmetic.
 
 `leinert.series.verify_recurrences` states each first-return decomposition
 as an identity between truncated power series and reads its residual off
-the coefficients of a `Series` difference.  This is the version it
-replaced: five loops, each convolving the tables by explicit index.  The
-tests require the two to agree exactly.  The only change from the loops as
-they stood is the summed-excursion line, which sums the per-generator
-tables inline.
+the coefficients of a `Series` difference.  `verify_recurrences` here is the
+version it replaced: five loops, each convolving the tables by explicit
+index.  The only change from the loops as they stood is the summed-excursion
+line, which sums the per-generator tables inline.
+
+`leinert.series.Series` holds integer numerators over one denominator.
+`FractionSeries` is the Series it replaced, a tuple of Fractions with the
+same arithmetic, and `generating_functions` is the function as it ran on
+it, except that it builds every generator's series and split on its own.
+It hands back the package's `SeriesBundle`, each series converted at the
+end, so a bundle compares with `==`.  The tests require both checks to
+agree with these exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from leinert.series import ProbabilityTables
+from leinert.series import ProbabilityTables, Series, SeriesBundle
 
 
 def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
@@ -90,3 +98,140 @@ def verify_recurrences(tables: ProbabilityTables) -> dict[str, Fraction]:
     residuals["excursion_split"] = worst
 
     return residuals
+
+
+class FractionSeries:
+    """Power series truncated at a fixed degree, coefficients Fractions.
+
+    Arithmetic truncates to the smaller degree of its operands.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(map(Fraction, coeffs))
+        if not self.coeffs:
+            raise ValueError("series needs at least the constant coefficient")
+
+    @classmethod
+    def constant(cls, value, degree: int) -> "FractionSeries":
+        return cls((Fraction(value),) + (Fraction(0),) * degree)
+
+    @classmethod
+    def monomial(cls, value, power: int, degree: int) -> "FractionSeries":
+        if power > degree:
+            return cls.constant(0, degree)
+        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs[power] = Fraction(value)
+        return cls(coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __add__(self, other: "FractionSeries") -> "FractionSeries":
+        k = min(self.degree, other.degree)
+        return FractionSeries([a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1])])
+
+    def __sub__(self, other: "FractionSeries") -> "FractionSeries":
+        k = min(self.degree, other.degree)
+        return FractionSeries([a - b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1])])
+
+    def __mul__(self, other: "FractionSeries") -> "FractionSeries":
+        k = min(self.degree, other.degree)
+        out = [Fraction(0)] * (k + 1)
+        for i, a in enumerate(self.coeffs[: k + 1]):
+            if not a:
+                continue
+            for j in range(k + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] += a * b
+        return FractionSeries(out)
+
+    def scale(self, factor) -> "FractionSeries":
+        factor = Fraction(factor)
+        return FractionSeries([factor * c for c in self.coeffs])
+
+    def shift(self, powers: int) -> "FractionSeries":
+        """Multiply by z^powers, truncating at the existing degree."""
+        if powers < 0:
+            raise ValueError("can only shift by nonnegative powers")
+        coeffs = (Fraction(0),) * powers + self.coeffs
+        return FractionSeries(coeffs[: self.degree + 1])
+
+    def reciprocal(self) -> "FractionSeries":
+        """Multiplicative inverse via the geometric convolution recursion."""
+        a0 = self.coeffs[0]
+        if not a0:
+            raise ValueError("reciprocal needs a nonzero constant term")
+        inv0 = 1 / a0
+        out = [inv0] + [Fraction(0)] * self.degree
+        for n in range(1, self.degree + 1):
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                if self.coeffs[k]:
+                    acc += self.coeffs[k] * out[n - k]
+            out[n] = -acc * inv0
+        return FractionSeries(out)
+
+
+def generating_functions(tables: ProbabilityTables) -> SeriesBundle:
+    """The bundle of `leinert.series.generating_functions`, in Fractions."""
+    degree = 2 * tables.n_max
+    zero = Fraction(0)
+
+    def step_indexed(table) -> FractionSeries:
+        coeffs = list(table) + [zero] * (degree + 1 - len(table))
+        return FractionSeries(coeffs[: degree + 1])
+
+    g = [zero] * (degree + 1)
+    h = list(g)
+    g[0::2] = tables.even_returns
+    h[1::2] = tables.lagged_returns[1:]
+    returns_gf, lagged_gf = FractionSeries(g), FractionSeries(h)
+    total = FractionSeries.constant(0, degree)
+    for table in tables.excursion_returns.values():
+        total = total + FractionSeries(table)
+
+    excursion_gf = {g: step_indexed(t) for g, t in tables.excursion_returns.items()}
+    detour_gf = {g: step_indexed(t) for g, t in tables.detour_returns.items()}
+    avoiding_even_gf = {g: step_indexed(t) for g, t in tables.avoiding_even_returns.items()}
+    avoiding_odd_gf = {g: step_indexed(t) for g, t in tables.avoiding_odd_returns.items()}
+
+    lazy_gf = (
+        FractionSeries.monomial(tables.weights.alpha0**2, 2, degree)
+        * (FractionSeries.constant(1, degree) - total).reciprocal()
+    )
+
+    one = FractionSeries.constant(1, degree)
+    recip_residual = returns_gf * (one - total - lazy_gf) - one
+    worst_recip = max((abs(c) for c in recip_residual.coeffs), default=zero)
+
+    worst_split = zero
+    for gen, f in excursion_gf.items():
+        alpha = tables.weights.alpha.get(gen, zero)
+        predicted = avoiding_even_gf[gen].shift(2).scale(alpha * alpha) + detour_gf[gen]
+        diff = f - predicted
+        worst_split = max(worst_split, max(abs(c) for c in diff.coeffs))
+
+    def package(series: FractionSeries) -> Series:
+        return Series(series.coeffs)
+
+    def per_generator(gfs: dict) -> dict:
+        return {gen: package(series) for gen, series in gfs.items()}
+
+    return SeriesBundle(
+        returns_gf=package(returns_gf),
+        lagged_gf=package(lagged_gf),
+        excursion_gf=per_generator(excursion_gf),
+        excursion_total_gf=package(total),
+        avoiding_even_gf=per_generator(avoiding_even_gf),
+        avoiding_odd_gf=per_generator(avoiding_odd_gf),
+        detour_gf=per_generator(detour_gf),
+        lazy_gf=package(lazy_gf),
+        residuals={
+            "reciprocal_relation": worst_recip,
+            "excursion_split": worst_split,
+        },
+    )

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, outputs, manifests."""
 
+import argparse
 import hashlib
 import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -206,6 +208,100 @@ class TestExitCodes:
     def test_version(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    def test_unreadable_group_is_usage_error(self, capsys):
+        assert run(["census", "--group", "G3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "leinert census: error: argument --group: cannot parse group name 'G3'"
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# each subcommand with its required flags only, every other flag at its default
+DEFAULT_ARGVS = [
+    ["census", "--group", "F2xF2"],
+    ["sample", "--group", "F2xF2"],
+    ["verify-series", "--group", "F2xF2"],
+    ["radius", "--s", "2", "--a", "0.25"],
+    ["bounds", "--s", "2", "--a", "0.25"],
+    ["spectral", "--s", "2"],
+    ["figure"],
+]
+
+
+def benchmark_argvs():
+    # run_path compiles jobs.py without writing bytecode into perfbench/
+    jobs = runpy.run_path(str(PERFBENCH / "jobs.py"))
+    return [job.argv(Path("out"), 0) for workload in jobs["WORKLOADS"].values() for job in workload]
+
+
+def parsed(parser, argv, capsys):
+    """The Namespace, or the exit code, and what the parse printed."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+class TestParser:
+    """run builds the parser of the subcommand it runs; that parser must
+    parse, help and refuse exactly as the full one does."""
+
+    def test_subcommands(self):
+        full = cli.build_parser()
+        (sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == cli.SUBCOMMANDS == tuple(argv[0] for argv in DEFAULT_ARGVS)
+        for name in cli.SUBCOMMANDS:
+            (sub,) = [
+                a for a in cli.build_parser(name)._actions
+                if isinstance(a, argparse._SubParsersAction)
+            ]
+            assert tuple(sub.choices) == (name,)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *benchmark_argvs(),
+            *DEFAULT_ARGVS,
+            # help, and a refusal by the subcommand's parser and by the top one
+            *([argv[0], "--help"] for argv in DEFAULT_ARGVS),
+            *([argv[0], "--bogus"] for argv in DEFAULT_ARGVS),
+            *(argv + ["extra"] for argv in DEFAULT_ARGVS),
+            ["census", "--group", "G3"],
+        ],
+    )
+    def test_one_subcommand_parses_as_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        one = parsed(cli.build_parser(argv[0]), argv, capsys)
+        assert one == parsed(cli.build_parser(), argv, capsys)
+        if isinstance(one[0], argparse.Namespace):
+            assert one[0].subcommand == argv[0] and one[1:] == ("", "")
+
+    def test_run_builds_the_named_subcommand_only(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "_parser", lambda name: built.append(name) or cli.build_parser(name))
+        assert run(["radius", "--s", "2", "--a", "0.25"]) == 0
+        assert run(["--version"]) == 0
+        assert run(["bogus"]) == 2
+        assert built == ["radius", None, None]
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, fragment",
+        [
+            ([], 2, "err", "error: the following arguments are required: subcommand"),
+            (["--help"], 0, "out", "{census,sample,verify-series,radius,bounds,spectral,figure}"),
+            (["--version"], 0, "out", "0.1.0"),
+            (["bogus"], 2, "err", "error: argument subcommand: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_top_level(self, argv, code, stream, fragment, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(argv) == code
+        out = capsys.readouterr()
+        assert fragment in getattr(out, stream)
+        assert (code, out.out, out.err) == parsed(cli.build_parser(), argv, capsys)
 
 
 class TestCensus:
@@ -438,8 +534,9 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     assert {argv[0] for argv, _, _ in exact} == {"census", "verify-series", "bounds"}
     jobs = [(argv, name) for argv, name, _ in exact] + [(argv, None) for argv, _ in RADIUS_STDOUT]
     expected = [[0, sha] for _, _, sha in exact] + [[0, text] for _, text in RADIUS_STDOUT]
-    # one interpreter runs them all through the one parser run keeps, from a
-    # usage error (its message goes to stderr) to the first census again
+    # one interpreter runs them all through the parsers run keeps, one per
+    # subcommand, from a usage error (its message goes to stderr) to the
+    # first census again
     jobs = [(["census"], None)] + jobs + jobs[:1] + [(["census"], None)]
     expected = [[2, ""]] + expected + expected[:1] + [[2, ""]]
     stdout = run_python(NUMPY_FREE, json.dumps(jobs), str(tmp_path))

@@ -27,6 +27,8 @@ from leinert import (
 from leinert.cli import bundle_to_json, tables_to_json
 from leinert.groups import GroupSignature, Letter, Word
 from reference_dp import reference_dp_tables
+from reference_series import FractionSeries
+from reference_series import generating_functions as reference_generating_functions
 from reference_series import verify_recurrences as reference_verify_recurrences
 
 F2F2 = parse_signature("F2xF2")
@@ -223,14 +225,23 @@ class TestRecurrences:
         residuals = verify_recurrences(broken)
         assert residuals["even_return"] != 0
         assert residuals["lagged_return"] == 0
+        assert_checks_match_the_oracles(broken)
+
+
+def assert_checks_match_the_oracles(tables):
+    """Both series checks equal their Fraction oracles exactly: the residual
+    dicts, and every series of the bundle with its residuals."""
+    assert verify_recurrences(tables) == reference_verify_recurrences(tables)
+    assert generating_functions(tables) == reference_generating_functions(tables)
 
 
 class TestRecurrenceOracle:
-    """verify_recurrences against the hand-indexed loops it replaced."""
+    """verify_recurrences against the hand-indexed loops it replaced, and
+    generating_functions against its Fraction arithmetic."""
 
     def test_fixtures(self, f2f2_norm, f2f2_lazy, f1f1_norm):
         for tables in (f2f2_norm, f2f2_lazy, f1f1_norm):
-            assert verify_recurrences(tables) == reference_verify_recurrences(tables)
+            assert_checks_match_the_oracles(tables)
 
     @pytest.mark.parametrize(
         "group, rates, alpha0",
@@ -244,7 +255,7 @@ class TestRecurrenceOracle:
         sig = parse_signature(group)
         weights = WalkWeights(F(alpha0), {(i, j): rates[i] for i, j in sig.bases()})
         tables = dp_tables(sig, weights, 4)
-        assert verify_recurrences(tables) == reference_verify_recurrences(tables)
+        assert_checks_match_the_oracles(tables)
 
     def test_a_broken_table_breaks_both_alike(self, f2f2_lazy):
         # the first generator, and the last of the last factor, which a
@@ -257,19 +268,34 @@ class TestRecurrenceOracle:
                 bumped = itertools.zip_longest(table[gen], bump, fillvalue=0)
                 table[gen] = tuple(t + b for t, b in bumped)
                 broken = dataclasses.replace(f2f2_lazy, **{field: table})
-                assert verify_recurrences(broken) == reference_verify_recurrences(broken)
+                assert_checks_match_the_oracles(broken)
                 assert verify_recurrences(broken) != verify_recurrences(f2f2_lazy)
                 if field != "avoiding_odd_returns":
                     # generating_functions reads the other two in its split
                     split = generating_functions(broken).residuals["excursion_split"]
                     assert split != generating_functions(f2f2_lazy).residuals["excursion_split"]
 
+    @pytest.mark.parametrize("field", ["even_returns", "avoiding_even_returns"])
+    def test_a_bumped_degree_zero_entry(self, field, f2f2_lazy):
+        # 1/7 at degree 0 is no integer over any power of the walk's
+        # denominator 9: the checks must be exact for any Fraction given
+        table = getattr(f2f2_lazy, field)
+        if field == "even_returns":
+            broken = dataclasses.replace(f2f2_lazy, even_returns=(table[0] + F(1, 7), *table[1:]))
+        else:
+            table = dict(table)
+            table[(1, 1)] = (table[(1, 1)][0] + F(1, 7), *table[(1, 1)][1:])
+            broken = dataclasses.replace(f2f2_lazy, avoiding_even_returns=table)
+        assert_checks_match_the_oracles(broken)
+        assert verify_recurrences(broken) != verify_recurrences(f2f2_lazy)
+        assert generating_functions(broken).residuals != generating_functions(f2f2_lazy).residuals
+
     @settings(max_examples=30, deadline=None)
     @given(**SMALL_WALKS)
     def test_random_signatures(self, ranks, n_max, a, alpha0):
         sig = GroupSignature(tuple(ranks))
         tables = dp_tables(sig, norm_weights(sig, a, alpha0), n_max)
-        assert verify_recurrences(tables) == reference_verify_recurrences(tables)
+        assert_checks_match_the_oracles(tables)
 
 
 class TestBruteForceOracle:
@@ -426,7 +452,47 @@ class TestCogrowth:
         assert (one - u_squared) * inverse * composed == Series(bad)
 
 
+# short coefficient lists with mixed signs and coprime denominators
+COEFFS = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=6
+)
+
+
 class TestSeriesArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(a=COEFFS, b=COEFFS, factor=st.fractions(max_denominator=9), powers=st.integers(0, 7))
+    def test_against_fraction_arithmetic(self, a, b, factor, powers):
+        s, t = Series(a), Series(b)
+        fs, ft = FractionSeries(a), FractionSeries(b)
+        assert s.coeffs == fs.coeffs and s.degree == fs.degree
+        assert [s[k] for k in range(len(a))] == a
+        for got, want in [
+            (s + t, fs + ft),
+            (s - t, fs - ft),
+            (s * t, fs * ft),
+            (s.scale(factor), fs.scale(factor)),
+            (s.shift(powers), fs.shift(powers)),
+            (Series.constant(factor, len(a)), FractionSeries.constant(factor, len(a))),
+            (Series.monomial(factor, powers, len(a)), FractionSeries.monomial(factor, powers, len(a))),
+            *([(s.reciprocal(), fs.reciprocal())] if a[0] else []),
+        ]:
+            assert got.coeffs == want.coeffs
+            assert got == Series(want.coeffs)
+        # equal coefficients, however they were reached, make equal series
+        assert (s == t) == (fs.coeffs == ft.coeffs)
+        assert s * t - t * s == Series.constant(0, min(len(a), len(b)) - 1)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="constant coefficient"):
+            Series([])
+        with pytest.raises(ValueError, match="nonnegative powers"):
+            Series((F(1), F(2))).shift(-1)
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            Series((F(0), F(1))).reciprocal()
+
+    def test_monomial_above_its_degree_is_zero(self):
+        assert Series.monomial(F(5, 3), 4, 3) == Series.constant(0, 3) == Series((0, 0, 0, 0))
+
     def test_reciprocal_is_geometric(self):
         one_minus_t = Series.constant(F(1), 10) - Series.monomial(F(1), 1, 10)
         geo = one_minus_t.reciprocal()
