@@ -15,24 +15,24 @@ more.  The census tag is the last letter and its rule bars that letter's
 inverse, so the walk counts valid strings, and the bad ones end with every
 stack empty.  The `series` rule has no bar and counts every closed walk;
 Grigorchuk's cogrowth formula ties the two counts exactly.  A backward
-sweep keeps the classes that still complete to a bad string, and one
-depth-first search, `_search`, follows them, so it visits only prefixes of
-bad strings.  One forward walk to the longest length and one backward
-sweep serve every length of a census.  The walk holds at most MAX_STATES
+pass keeps the classes, by depth, that still complete to a bad string of
+a census length, and one depth-first search, `_search`, follows them, so
+it visits only prefixes of bad strings: a census takes one forward walk,
+one backward pass and one search.  The walk holds at most MAX_STATES
 classes a step, the search runs only when the bad counts bound its nodes
 by MAX_NODES, and a fixed limit on the length refuses far ones.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
 of the first k letters, so a bad string is a kernel exactly when P_0, ...,
-P_{L-1} are pairwise distinct.  The same search lists the bad strings or
-counts the kernels: in its kernel mode it cuts a prefix, with all it leads
-to, as soon as some P_k with k < L repeats an earlier product on its path,
-so every leaf it reaches is a kernel.  Permuting the generators inside a
-factor, or swapping two factors of equal rank, maps valid, bad and kernel
-strings to themselves, so that mode opens only with generator 0 of the
-first factor of each rank, and the census weights each leaf by rank times
-the number of factors of that rank.
+P_{L-1} are pairwise distinct.  The same search lists the bad strings of
+one length or counts the kernels of every length: its kernel mode cuts a
+prefix, with all it leads to, once some P_k repeats an earlier product on
+its path, and a P_k back at the identity closes a kernel of length k.
+Permuting the generators inside a factor, or swapping two factors of equal
+rank, maps valid, bad and kernel strings to themselves, so that mode opens
+only with generator 0 of the first factor of each rank, and the census
+weights each kernel by rank times the number of factors of that rank.
 
 Alongside the enumeration sit the closed-form counts (the length-8 and
 length-12 formulas, composition identities) and an
@@ -204,58 +204,52 @@ def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     return bad, layers, moves, width
 
 
-def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict]:
+def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, int | None]:
     """The live classes of the valid strings of the given lengths, which
     the search follows.
 
-    A move's liveness depends only on the class and the r steps left (the
-    exponent bit is r mod 2), so one backward sweep over r numbers the live
-    (class, r) rows of every length.  Returns (bad, rows, roots): rows[c]
-    lists `(factor, pop child, push child)` for every factor with a live
-    move out of row c, a dead move as None; roots[l] is the row of the empty
-    prefix at r = l, None when no bad string of length l exists.  Every node
-    the search visits is a prefix of a bad string, so the search is refused
-    when the sum of (l+1) * bad(l) over the lengths exceeds MAX_NODES.
+    A class at depth k (k letters placed) is live when it has a live move,
+    or when its stacks are empty and k is a census length; its moves'
+    exponent bit is k mod 2.  One backward pass over the forward layers,
+    longest live length first, numbers the live (class, depth) rows.
+    Returns (bad, rows, root): rows[c] lists `(factor, pop child, push
+    child)` for every factor with a live move out of row c, a dead move as
+    None; root is the row of the empty prefix, None when no length has a
+    bad string.  Every search node is a prefix of a bad string, so the
+    search is refused when the sum of (l+1) * bad(l) exceeds MAX_NODES.
     """
     bad, layers, moves, width = _forward_walk(signature, lengths)
     nodes = sum((l + 1) * n for l, n in bad.items())
     if nodes > MAX_NODES:
         longest = max(lengths)
         raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
-    live_lengths = [l for l in bad if bad[l]]
 
     ranks = signature.factors
     low, top = (1 << width) - 1, width * (len(ranks) + 1)
-    start = _class(width, [1] * len(ranks))
     shifts = [width * (f + 1) for f in range(len(ranks))]
-    rows: list = []
-    roots: dict = {}
-    ids: dict = {}
-    for r in range(max(live_lengths, default=-1) + 1):
-        live = {}
-        for state in set().union(*(layers[l - r] for l in live_lengths if l >= r)):
-            if state >> top > r:
-                continue
+    rows, ids = [], {}
+    for k in range(max((l for l in bad if bad[l]), default=-1), -1, -1):
+        live, leaves = {}, k in bad
+        for state in layers[k]:
             row = []
-            # at r = 0 the empty-stack classes are the live leaves, with no moves
-            for f, shift in enumerate(shifts if r else ()):
+            # the top live depth has no live move (and no cached one)
+            for f, shift in enumerate(shifts if ids else ()):
                 children = [None, None]
-                for delta, _ in moves[f, state >> shift & low, state & low, r % 2]:
+                for delta, _ in moves[f, state >> shift & low, state & low, k % 2]:
                     children[delta > 0] = ids.get(state + delta)
                 if children != [None, None]:
                     row.append((f, *children))
-            if row or not r:
+            if row or leaves and not state >> top:
                 live[state] = len(rows)
                 rows.append(tuple(row))
         ids = live
-        roots[r] = ids.get(start)
-    return bad, rows, {l: roots.get(l) for l in lengths}
+    return bad, rows, ids.get(_class(width, [1] * len(ranks)))
 
 
-def _search(signature: GroupSignature, length: int, rows: list, root: int | None,
+def _search(signature: GroupSignature, length: int, rows: list, root: int,
             kernels: bool = False) -> Iterator[list[tuple[int, int, int]]]:
     """Depth-first search of the bad valid strings of one length, or of
-    the kernels among them.
+    the kernels of every length up to `length`.
 
     Bases are tried in canonical order, and a move is taken only when the
     class tables of `_class_tables` keep it alive, so every prefix visited
@@ -269,16 +263,15 @@ def _search(signature: GroupSignature, length: int, rows: list, root: int | None
     each bad string; the list changes as the search moves on, so read it
     before the next step.
 
-    With `kernels`, a move whose P_k (k < L) is already on the path is cut
-    with its subtree, so every string yielded is a kernel, and only
-    generator 0 of the first factor of each rank opens the search.
-    Permuting the generators of a factor, or swapping two factors of equal
-    rank, maps valid, bad and kernel strings to themselves and keeps the
-    first exponent, so a kernel opening in factor f stands for ranks[f]
-    times the number of factors of that rank.
+    With `kernels`, a move whose P_k is already on the path is cut with
+    its subtree; one whose P_k is the identity P_0 closes a kernel of
+    length k, yielded as a new list when k < L and never extended, as every
+    extension repeats P_0.  Only generator 0 of the first factor of each
+    rank opens the search: permuting a factor's generators, or swapping
+    factors of equal rank, maps valid, bad and kernel strings to themselves
+    and keeps the first exponent, so a kernel opening in factor f stands
+    for ranks[f] times the number of factors of that rank.
     """
-    if root is None:
-        return
     ranks = signature.factors
     radix = 2 * max(ranks) + 1
     block = radix ** (length // 2)
@@ -293,7 +286,7 @@ def _search(signature: GroupSignature, length: int, rows: list, root: int | None
     lasts = {(radix - 1 - g) * strides[f]: (f, g, 1)
              for f, rank in enumerate(ranks) for g in range(rank)}
     seq: list = [None] * length
-    seen = {0}
+    seen: set = set()
 
     def walk(depth: int, cls: int, key: int, prev_factor: int, barred: int):
         table, leaf = tables[depth], depth == length - 2
@@ -316,6 +309,8 @@ def _search(signature: GroupSignature, length: int, rows: list, root: int | None
                 if leaf:
                     seq[-1] = lasts[product]
                     yield seq
+                elif kernels and not product:
+                    yield seq[:depth + 1]
                 elif kernels:
                     seen.add(product)
                     yield from walk(depth + 1, child, product, factor, radix - digit)
@@ -329,8 +324,10 @@ def _search(signature: GroupSignature, length: int, rows: list, root: int | None
 
 def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
     """The bad valid strings of one length, as Words, in search order."""
-    _, rows, roots = _class_tables(signature, [length])
-    for seq in _search(signature, length, rows, roots[length]):
+    _, rows, root = _class_tables(signature, [length])
+    if root is None:
+        return
+    for seq in _search(signature, length, rows, root):
         yield Word(signature, tuple(Letter(*t) for t in seq))
 
 
@@ -363,21 +360,24 @@ class BadStringCensus:
 def take_census(signature: GroupSignature, lengths: Iterable[int]) -> BadStringCensus:
     """Count bad strings and kernels for each requested (even) length.
 
-    One forward walk to the longest length and one backward sweep give
-    every length's bad count and live classes; the search over those
-    classes, in its kernel mode, counts the kernels.  BudgetExceededError
-    refuses the census before any search runs when the walk exceeds
-    MAX_STATES classes at a step or the search's node bound exceeds
-    MAX_NODES (_class_tables).
+    One forward walk to the longest length and one backward pass give
+    every length's bad count and the live classes of all of them; one
+    search over those classes, in its kernel mode, counts the kernels of
+    every length as their paths close.  BudgetExceededError refuses the
+    census before any search runs when the walk exceeds MAX_STATES classes
+    at a step or the search's node bound exceeds MAX_NODES (_class_tables).
     """
     lengths = list(lengths)
-    bad, rows, roots = _class_tables(signature, lengths)
+    bad, rows, root = _class_tables(signature, lengths)
     ranks = signature.factors
     orbit = [rank * ranks.count(rank) for rank in ranks]
+    kernels = dict.fromkeys(lengths, 0)
+    if root is not None:
+        for seq in _search(signature, max(lengths), rows, root, kernels=True):
+            if len(seq) in kernels:
+                kernels[len(seq)] += orbit[seq[0][0]]
     return BadStringCensus(signature, {
-        l: CensusEntry(valid_string_count(signature, l), bad[l], sum(
-            orbit[seq[0][0]] for seq in _search(signature, l, rows, roots[l], kernels=True)))
-        for l in lengths
+        l: CensusEntry(valid_string_count(signature, l), bad[l], kernels[l]) for l in lengths
     })
 
 

@@ -15,9 +15,9 @@ the largest one from below.  For s = 1, U (x) I and I (x) V are commuting
 normal operators, so T1 is normal and its norm is max |lambda_i + mu_j|
 over the eigenvalues of U and V, computed directly.
 
-The mean over trials approximates the reciprocal radius the bounds module
-predicts; the strong-convergence limit for s independent pairs is
-2a sqrt(2s-1), which at s = 1 is 2a, the limit of a max |lambda + mu|.
+The mean over trials estimates the reciprocal radius the bounds module
+brackets.  As N grows the norm tends to the F_s x F_s norm of T, not to
+the norm 2a sqrt(2s-1) of 2s free unitaries; both are 2a at s = 1.
 """
 
 from __future__ import annotations
@@ -237,9 +237,9 @@ def estimate_z_inverse(config: SpectralConfig) -> NormEstimate:
 
 
 def free_limit(s: int, a: float = 1.0) -> float:
-    """The strong-convergence limit 2 a sqrt(2s-1) of the norm as N grows.
+    """2 a sqrt(2s-1), the norm of a times 2s free unitaries (Akemann-Ostrand).
 
-    At s = 1 this is 2a, the supremum of a |lambda + mu| over the unit
-    circle; at finite N the norm a max |lambda_i + mu_j| falls short of it.
+    The U_i (x) I and I (x) V_j commute, so as N grows T's norm tends to the
+    F_s x F_s norm instead, larger at s = 2.  At s = 1 both are 2a.
     """
     return 2.0 * a * math.sqrt(2.0 * s - 1.0)

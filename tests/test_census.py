@@ -150,12 +150,47 @@ class TestBadCounts:
     def test_kernels_at_twenty(self):
         # 4.6e9 valid strings, past any enumeration of them: every bad string
         # the search lists is checked for pairwise distinct prefix products
-        _, rows, roots = census_module._class_tables(F2F2, [20])
+        _, rows, root = census_module._class_tables(F2F2, [20])
         flags = [
             is_simple_cycle(seq, F2F2.num_factors)
-            for seq in census_module._search(F2F2, 20, rows, roots[20])
+            for seq in census_module._search(F2F2, 20, rows, root)
         ]
         assert (len(flags), sum(flags)) == (59520, 14240)
+        # the kernel search, past every hypothesis example, agrees
+        assert take_census(F2F2, [20]).entries[20].kernels == 14240
+
+    def test_one_search_per_census(self, monkeypatch):
+        # one kernel search serves every length, and a census without a bad
+        # string runs none
+        calls = []
+        search = census_module._search
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(census_module, "_search", spy)
+        assert take_census(F2F2, range(2, 17, 2)).entries[16].kernels == 992
+        assert calls == [16]
+        for name, longest in (("F1xF3", 16), ("F2xF1", 20)):
+            census = take_census(parse_signature(name), range(2, longest + 1, 2))
+            assert not any(e.bad for e in census.entries.values())
+        assert calls == [16]
+
+    @pytest.mark.parametrize("name", ["F2xF2", "F1xF1xF1", "F2xF1xF2"])
+    def test_search_enters_no_dead_end(self, name):
+        # a row without moves is an empty-stack class at a census length,
+        # where the kernel mode closes a kernel instead of entering the row,
+        # so every row the search enters leads on to a bad string
+        class Rows(list):
+            def __getitem__(self, i):
+                row = super().__getitem__(i)
+                assert row, "the search entered a dead end"
+                return row
+
+        sig = parse_signature(name)
+        _, rows, root = census_module._class_tables(sig, [6, 8, 10, 12])
+        assert any(census_module._search(sig, 12, Rows(rows), root, kernels=True))
 
     def test_enumeration_is_lazy(self, monkeypatch):
         # the first of the 59,520 bad strings of length 20 builds one Word
@@ -190,18 +225,24 @@ class TestBadCounts:
     )
     @example(ranks=[1, 2, 2], length=8)
     @example(ranks=[2, 3], length=10)
+    @example(ranks=[1, 1, 1], length=12)  # two kernels of length 6 close on the way
     def test_kernel_mode_against_the_enumeration(self, ranks, length):
         # the kernel mode yields, in order, the kernels among the listed bad
-        # strings that open with generator 0 of the first factor of their rank
+        # strings that open with generator 0 of the first factor of their
+        # rank; it also closes kernels of shorter lengths on the way
         sig = GroupSignature(tuple(ranks))
-        _, rows, roots = census_module._class_tables(sig, [length])
+        _, rows, root = census_module._class_tables(sig, [length])
 
         def leaves(kernels):
-            search = census_module._search(sig, length, rows, roots[length], kernels)
+            if root is None:
+                return []
+            search = census_module._search(sig, length, rows, root, kernels)
             return [tuple(seq) for seq in search]
 
+        closed = leaves(True)
+        assert all(is_simple_cycle(seq, len(ranks)) for seq in closed)
         openers = {(ranks.index(rank), 0, -1) for rank in ranks}
-        assert leaves(True) == [
+        assert [seq for seq in closed if len(seq) == length] == [
             seq for seq in leaves(False)
             if seq[0] in openers and is_simple_cycle(seq, len(ranks))
         ]
@@ -245,18 +286,26 @@ class TestCensusObject:
         ranks=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
             lambda r: 2 <= sum(r) <= 5
         ),
-        lengths=st.lists(st.sampled_from([2, 4, 6, 8, 10]), min_size=1, max_size=5),
+        lengths=st.lists(st.sampled_from(range(2, 13, 2)), max_size=6),
     )
     @example(ranks=[2, 2], lengths=[10, 8, 4])
     @example(ranks=[2, 2], lengths=[8])
     @example(ranks=[1, 3], lengths=[10, 2])  # no bad string at any length
+    # kernels of length 8 close on the way to 12 and 16 and are not counted
+    @example(ranks=[2, 2], lengths=[12, 16])
+    # a bad-free length (4) listed between live ones, with 10 left out; no
+    # length is bad-free between live ones, but 8 in Z3 has no kernel
+    @example(ranks=[2, 2], lengths=[12, 4, 8])
+    @example(ranks=[1, 1, 1], lengths=[10, 8, 6])
     def test_one_walk_serves_every_length(self, ranks, lengths):
-        # unsorted, sparse, single and repeated lengths against one census each
+        # unsorted, sparse, single, repeated and no lengths against one
+        # census each
         sig = GroupSignature(tuple(ranks))
         census = take_census(sig, lengths)
         assert list(census.entries) == list(dict.fromkeys(lengths))
         for length in lengths:
             assert census.entries[length] == take_census(sig, [length]).entries[length]
+        assert take_census(sig, []).entries == {}
 
     def test_class_cap_binds_at_the_longest_length(self, monkeypatch):
         # the walk to the longest length holds the classes of every shorter
