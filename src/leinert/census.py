@@ -30,9 +30,11 @@ one length or counts the kernels of every length: its kernel mode cuts a
 prefix, with all it leads to, once some P_k repeats an earlier product on
 its path, and a P_k back at the identity closes a kernel of length k.
 Permuting the generators inside a factor, or swapping two factors of equal
-rank, maps valid, bad and kernel strings to themselves, so that mode opens
-only with generator 0 of the first factor of each rank, and the census
-weights each kernel by rank times the number of factors of that rank.
+rank, maps valid, bad and kernel strings to themselves, so that mode visits
+one string per relabeling class, the one whose labels appear in order of
+first occurrence (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 1998), and the census adds each kernel with its class's size,
+which the search reads off its counts of the generators and factors used.
 
 Alongside the enumeration sit the closed-form counts (the length-8 and
 length-12 formulas, composition identities) and an
@@ -87,7 +89,7 @@ def _check_length(length: int):
 
 MAX_STATES = 2_000_000
 # caps a census's search nodes (see _class_tables): on a 2-vCPU VM it admits
-# F2xF2 to length 24 (3.9e7, 1.6 s) and Z3 to 28 (1.45e8, 1.3 s), not F2xF2 to 26
+# F2xF2 to length 24 (3.9e7, 0.8 s) and Z3 to 28 (1.45e8, 0.6 s), not F2xF2 to 26
 MAX_NODES = 150_000_000
 
 
@@ -96,6 +98,11 @@ def _class(width: int, codes, tag: int = 0) -> int:
     into a class, each in a field of `width` bits, lowest first."""
     fields = [tag, *codes, sum(code.bit_length() - 1 for code in codes)]
     return sum(field << width * i for i, field in enumerate(fields))
+
+
+def _key_mask(width: int, f: int) -> int:
+    """The bits of a class that hold its tag and factor f's stack code."""
+    return (1 << width) - 1 << width * (f + 1) | (1 << width) - 1
 
 
 def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain,
@@ -109,11 +116,12 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
     `rule(f, code, tag, bit)` gives the moves of factor f's stack `code` in a
     class tagged `tag` under a letter of exponent bit `bit`, as triples of
     child code, child tag and how many generators of f lead there; `moves`
-    caches them by that key as (class delta, weight) pairs, a push's delta
-    positive.  The lazy loop fires whenever the walk has weight at the
-    identity.  After step m only the classes whose stacks hold at most
-    times[-1] - m letters stay: the others cannot get home by the last step.
-    MAX_STATES bounds the classes kept after this prune at each step.
+    caches them as (class delta, weight) pairs, a push's delta positive, in
+    one dict per (f, bit) keyed by the class's bits under `_key_mask`.  The
+    lazy loop fires whenever the walk has weight at the identity.  After
+    step m only the classes whose stacks hold at most times[-1] - m letters
+    stay: the others cannot get home by the last step.  MAX_STATES bounds
+    the classes kept after this prune at each step.
     """
     q = math.lcm(alpha0.denominator, *(rate.denominator for rate in rates))
     ints = [int(rate * q) for rate in rates]
@@ -121,30 +129,32 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
     factors = range(signature.num_factors)
     home = _class(width, [1 for _ in factors])
     low = (1 << width) - 1
-    shifts = [width * (f + 1) for f in factors]
     top = width * (len(factors) + 1)
     moves = {} if moves is None else moves
+    # per exponent bit, each factor's shift, key mask and move cache
+    caches = [[(f, width * (f + 1), _key_mask(width, f), moves.setdefault((f, bit), {}))
+               for f in factors] for bit in (0, 1)]
     dist = {start: 1}
     for m in times:
         bit = int((m % 2 == 0) != first_plain)
-        room = times[-1] - m
+        # a class's stacks hold at most times[-1] - m letters exactly when it is below `limit`
+        limit = times[-1] - m + 1 << top
         nxt: dict[int, int] = {}
+        get = nxt.get
         for state, wt in dist.items():
-            tag = state & low
-            for f, shift in enumerate(shifts):
-                code = state >> shift & low
-                key = (f, code, tag, bit)
-                out = moves.get(key)
+            for f, shift, mask, cache in caches[bit]:
+                out = cache.get(state & mask)
                 if out is None:
-                    out = moves[key] = [
+                    code, tag = state >> shift & low, state & low
+                    out = cache[state & mask] = [
                         ((child - code << shift) + child_tag - tag + (2 * (child > code) - 1 << top),
                          ints[f] * ways)
-                        for child, child_tag, ways in rule(*key) if ints[f] and ways
+                        for child, child_tag, ways in rule(f, code, tag, bit) if ints[f] and ways
                     ]
                 for delta, w in out:
                     ns = state + delta
-                    if ns >> top <= room:
-                        nxt[ns] = nxt.get(ns, 0) + wt * w
+                    if ns < limit:
+                        nxt[ns] = get(ns, 0) + wt * w
         if lazy and dist.get(home):
             nxt[home] = nxt.get(home, 0) + dist[home] * lazy
         if len(nxt) > MAX_STATES:
@@ -225,20 +235,35 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
         raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
 
     ranks = signature.factors
-    low, top = (1 << width) - 1, width * (len(ranks) + 1)
-    shifts = [width * (f + 1) for f in range(len(ranks))]
+    top = width * (len(ranks) + 1)
     rows, ids = [], {}
-    for k in range(max((l for l in bad if bad[l]), default=-1), -1, -1):
-        live, leaves = {}, k in bad
+    deepest = max((l for l in bad if bad[l]), default=-1)
+    # each cached move's (pop, push) class deltas; a missing move's delta
+    # leads below every class, to no row
+    pairs: dict = {}
+    dead = -1 << top + width
+    for key, cache in moves.items() if deepest >= 0 else ():
+        pairs[key] = table = {}
+        for masked, out in cache.items():
+            pop = push = dead
+            for delta, _ in out:
+                if delta > 0:
+                    push = delta
+                else:
+                    pop = delta
+            table[masked] = pop, push
+    for k in range(deepest, -1, -1):
+        live, leaves, get = {}, k in bad, ids.get
+        # the top live depth has no live move (and no cached one)
+        fields = [(f, _key_mask(width, f), pairs[f, k % 2])
+                  for f in range(len(ranks))] if ids else []
         for state in layers[k]:
             row = []
-            # the top live depth has no live move (and no cached one)
-            for f, shift in enumerate(shifts if ids else ()):
-                children = [None, None]
-                for delta, _ in moves[f, state >> shift & low, state & low, k % 2]:
-                    children[delta > 0] = ids.get(state + delta)
-                if children != [None, None]:
-                    row.append((f, *children))
+            for f, mask, cache in fields:
+                pop, push = cache[state & mask]
+                pop_child, push_child = get(state + pop), get(state + push)
+                if pop_child is not None or push_child is not None:
+                    row.append((f, pop_child, push_child))
             if row or leaves and not state >> top:
                 live[state] = len(rows)
                 rows.append(tuple(row))
@@ -247,7 +272,7 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
 
 
 def _search(signature: GroupSignature, length: int, rows: list, root: int,
-            kernels: bool = False) -> Iterator[list[tuple[int, int, int]]]:
+            kernels: bool = False) -> Iterator:
     """Depth-first search of the bad valid strings of one length, or of
     the kernels of every length up to `length`.
 
@@ -265,37 +290,57 @@ def _search(signature: GroupSignature, length: int, rows: list, root: int,
 
     With `kernels`, a move whose P_k is already on the path is cut with
     its subtree; one whose P_k is the identity P_0 closes a kernel of
-    length k, yielded as a new list when k < L and never extended, as every
-    extension repeats P_0.  Only generator 0 of the first factor of each
-    rank opens the search: permuting a factor's generators, or swapping
-    factors of equal rank, maps valid, bad and kernel strings to themselves
-    and keeps the first exponent, so a kernel opening in factor f stands
-    for ranks[f] times the number of factors of that rank.
+    length k, and one at depth L - 2 closes a kernel of length L (its
+    forced last letter pops).  Permuting a factor's generators, or swapping
+    factors of equal rank, maps kernels to kernels, so this mode visits one
+    string per relabeling class, the one labelled in order of first
+    occurrence: a push may use generator g of factor f only once f has
+    used g generators, and a factor may be entered only after the factor
+    of its rank before it.  Each kernel is yielded as (length, weight), the
+    weight its class's size: the product over factors of P(rank,
+    generators used) and over ranks of P(factors of that rank, factors
+    entered), with P(n, k) = n! / (n - k)!.  Only pushes bring new labels,
+    and each multiplies the weight by its number of choices.
     """
     ranks = signature.factors
     radix = 2 * max(ranks) + 1
     block = radix ** (length // 2)
     strides = [block**f for f in range(len(ranks))]
-    # tables[k][f]: the (digit, letter) pairs of factor f at step k + 1
-    letters = [[[(exp * (g + 1) % radix, (f, g, exp)) for g in range(rank)]
+    # peers[f]: the factors of f's rank, in index order; entering f, the
+    # place-th of them, picks one of the len - place not yet entered
+    peers = [[e for e, rank in enumerate(ranks) if rank == ranks[f]] for f in range(len(ranks))]
+    places = [p.index(f) for f, p in enumerate(peers)]
+    # letters[exp][f][u]: the (digit, letter, fresh) triples of factor f once
+    # it has used u generators; fresh is a new generator's number of
+    # choices, 0 for a used one
+    letters = [[[[(exp * (g + 1) % radix, (f, g, exp),
+                   (rank - u) * (len(peers[f]) - places[f] if u == 0 else 1) if g == u else 0)
+                  for g in range(min(u + 1, rank))]
+                 for u in range(rank + 1)]
                 for f, rank in enumerate(ranks)] for exp in (-1, 1)]
     tables = [letters[k % 2] for k in range(length)]
-    if kernels:
-        tables[0] = [pairs[:ranks.index(ranks[f]) == f] for f, pairs in enumerate(letters[0])]
+    # used[f]: the generators factor f has used, all of them when listing;
+    # before[f]: the factor of f's rank before it, or the last slot of
+    # `used`, which is always 1
+    used = [0] * len(ranks) + [1] if kernels else [*ranks, 1]
+    before = [peers[f][places[f] - 1] if places[f] else -1 for f in range(len(ranks))]
     # the last letter, generator g, cancels the stack letter g^-1 of digit R - 1 - g
     lasts = {(radix - 1 - g) * strides[f]: (f, g, 1)
              for f, rank in enumerate(ranks) for g in range(rank)}
     seq: list = [None] * length
     seen: set = set()
 
-    def walk(depth: int, cls: int, key: int, prev_factor: int, barred: int):
+    def walk(depth: int, cls: int, key: int, prev_factor: int, barred: int, weight: int):
         table, leaf = tables[depth], depth == length - 2
         for factor, pop_child, push_child in rows[cls]:
+            u = used[factor]
+            if not (u or used[before[factor]]):
+                continue
             stride = strides[factor]
             code = key // stride % block
             cancel = radix - code % radix
             skip = barred if factor == prev_factor else 0
-            for digit, letter in table[factor]:
+            for digit, letter, fresh in table[factor][u]:
                 if digit == cancel:
                     child, new = pop_child, code // radix
                 else:
@@ -303,22 +348,27 @@ def _search(signature: GroupSignature, length: int, rows: list, root: int,
                 if child is None or digit == skip:
                     continue
                 product = key + (new - code) * stride
-                if kernels and product in seen:
-                    continue
-                seq[depth] = letter
-                if leaf:
-                    seq[-1] = lasts[product]
-                    yield seq
-                elif kernels and not product:
-                    yield seq[:depth + 1]
-                elif kernels:
-                    seen.add(product)
-                    yield from walk(depth + 1, child, product, factor, radix - digit)
-                    seen.remove(product)
-                else:
-                    yield from walk(depth + 1, child, product, factor, radix - digit)
+                if not kernels:
+                    seq[depth] = letter
+                    if leaf:
+                        seq[-1] = lasts[product]
+                        yield seq
+                    else:
+                        yield from walk(depth + 1, child, product, factor, radix - digit, 0)
+                elif product not in seen:
+                    if leaf:
+                        yield length, weight * (fresh or 1)
+                    elif not product:
+                        yield depth + 1, weight
+                    else:
+                        seen.add(product)
+                        used[factor] = u + (fresh > 0)
+                        yield from walk(depth + 1, child, product, factor, radix - digit,
+                                        weight * (fresh or 1))
+                        used[factor] = u
+                        seen.remove(product)
 
-    yield from walk(0, root, 0, -1, 0)
+    yield from walk(0, root, 0, -1, 0, 1)
     del walk  # its closure holds it: free the tables now, not at a collection
 
 
@@ -362,20 +412,19 @@ def take_census(signature: GroupSignature, lengths: Iterable[int]) -> BadStringC
 
     One forward walk to the longest length and one backward pass give
     every length's bad count and the live classes of all of them; one
-    search over those classes, in its kernel mode, counts the kernels of
-    every length as their paths close.  BudgetExceededError refuses the
+    search over those classes, in its kernel mode, closes one kernel per
+    relabeling class, of every length, and each requested length sums the
+    weights (class sizes) of its kernels.  BudgetExceededError refuses the
     census before any search runs when the walk exceeds MAX_STATES classes
     at a step or the search's node bound exceeds MAX_NODES (_class_tables).
     """
     lengths = list(lengths)
     bad, rows, root = _class_tables(signature, lengths)
-    ranks = signature.factors
-    orbit = [rank * ranks.count(rank) for rank in ranks]
     kernels = dict.fromkeys(lengths, 0)
     if root is not None:
-        for seq in _search(signature, max(lengths), rows, root, kernels=True):
-            if len(seq) in kernels:
-                kernels[len(seq)] += orbit[seq[0][0]]
+        for length, weight in _search(signature, max(lengths), rows, root, kernels=True):
+            if length in kernels:
+                kernels[length] += weight
     return BadStringCensus(signature, {
         l: CensusEntry(valid_string_count(signature, l), bad[l], kernels[l]) for l in lengths
     })

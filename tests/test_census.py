@@ -51,6 +51,43 @@ F2F2 = parse_signature("F2xF2")
 Z3 = parse_signature("Z3")
 
 
+class Rows(list):
+    """Class rows that count the rows a search enters and refuse dead ends.
+
+    A row without moves is an empty-stack class at a census length, where
+    the kernel mode closes a kernel instead of entering the row.
+    """
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.entered = 0
+
+    def __getitem__(self, i):
+        row = super().__getitem__(i)
+        assert row, "the search entered a dead end"
+        self.entered += 1
+        return row
+
+
+def first_occurrence_form(seq, ranks):
+    """Whether each factor's generators first appear as 0, 1, 2, ... and
+    the factors of each rank first appear in index order."""
+    gens = [[] for _ in ranks]
+    entered = []
+    for factor, gen, _ in seq:
+        if gen not in gens[factor]:
+            if gen != len(gens[factor]):
+                return False
+            gens[factor].append(gen)
+        if factor not in entered:
+            entered.append(factor)
+    for rank in set(ranks):
+        order = [f for f in entered if ranks[f] == rank]
+        if order != [f for f, r in enumerate(ranks) if r == rank][:len(order)]:
+            return False
+    return True
+
+
 def oracle_leaves(signature, length):
     """The reference search's bad strings, as Letter tuples, with kernel flags."""
     return [
@@ -179,18 +216,24 @@ class TestBadCounts:
 
     @pytest.mark.parametrize("name", ["F2xF2", "F1xF1xF1", "F2xF1xF2"])
     def test_search_enters_no_dead_end(self, name):
-        # a row without moves is an empty-stack class at a census length,
-        # where the kernel mode closes a kernel instead of entering the row,
-        # so every row the search enters leads on to a bad string
-        class Rows(list):
-            def __getitem__(self, i):
-                row = super().__getitem__(i)
-                assert row, "the search entered a dead end"
-                return row
-
+        # every row the search enters leads on to a bad string
         sig = parse_signature(name)
         _, rows, root = census_module._class_tables(sig, [6, 8, 10, 12])
         assert any(census_module._search(sig, 12, Rows(rows), root, kernels=True))
+
+    @pytest.mark.parametrize(
+        "name, longest, entered",
+        [("F2xF2", 16, 2342), ("F2xF2xF2", 10, 284), ("F2xF3", 12, 457), ("Z3", 12, 76)],
+    )
+    def test_kernel_search_nodes(self, name, longest, entered):
+        # the rows the kernel search of a census enters, one string per
+        # relabeling class; each lost symmetry cut raises these counts
+        sig = parse_signature(name)
+        _, rows, root = census_module._class_tables(sig, range(2, longest + 1, 2))
+        spy = Rows(rows)
+        for _ in census_module._search(sig, longest, spy, root, kernels=True):
+            pass
+        assert spy.entered == entered
 
     def test_enumeration_is_lazy(self, monkeypatch):
         # the first of the 59,520 bad strings of length 20 builds one Word
@@ -227,25 +270,20 @@ class TestBadCounts:
     @example(ranks=[2, 3], length=10)
     @example(ranks=[1, 1, 1], length=12)  # two kernels of length 6 close on the way
     def test_kernel_mode_against_the_enumeration(self, ranks, length):
-        # the kernel mode yields, in order, the kernels among the listed bad
-        # strings that open with generator 0 of the first factor of their
-        # rank; it also closes kernels of shorter lengths on the way
+        # the kernel mode yields one (length, weight) per kernel in
+        # first-occurrence form, weighted by the size of its relabeling
+        # class; it also closes kernels of shorter lengths on the way
         sig = GroupSignature(tuple(ranks))
         _, rows, root = census_module._class_tables(sig, [length])
-
-        def leaves(kernels):
-            if root is None:
-                return []
-            search = census_module._search(sig, length, rows, root, kernels)
-            return [tuple(seq) for seq in search]
-
-        closed = leaves(True)
-        assert all(is_simple_cycle(seq, len(ranks)) for seq in closed)
-        openers = {(ranks.index(rank), 0, -1) for rank in ranks}
-        assert [seq for seq in closed if len(seq) == length] == [
-            seq for seq in leaves(False)
-            if seq[0] in openers and is_simple_cycle(seq, len(ranks))
-        ]
+        if root is None:
+            weights, kernels = [], []
+        else:
+            weights = [w for l, w in census_module._search(sig, length, rows, root, True)
+                       if l == length]
+            kernels = [tuple(seq) for seq in census_module._search(sig, length, rows, root)
+                       if is_simple_cycle(seq, len(ranks))]
+        assert sum(weights) == len(kernels)
+        assert len(weights) == sum(first_occurrence_form(seq, ranks) for seq in kernels)
 
 
 class TestCensusObject:
@@ -372,6 +410,11 @@ class TestAgainstReferenceSearch:
             ("F2xF1xF2", 10),
             ("F1xF2xF3", 8),
             ("F3xF1xF2", 8),
+            # kernels that leave a factor unused, or use three or more
+            # generators of one factor
+            ("F2xF2xF2xF2", 8),
+            ("F3xF3", 12),
+            ("F4xF2", 10),
         ],
     )
     def test_census(self, name, max_length):
