@@ -8,19 +8,22 @@ lump prefixes into classes (Kemeny-Snell lumpability; Flajolet-Sedgewick,
 Analytic Combinatorics, ch. V, on transfer matrices) and step them with one
 walk, `_walk`.  A class is one int: a tag, each factor's stack as a bit
 code of exponent signs, and the total stack length on top.  Each caller
-passes the rule that moves a stack, and the walk drops every class whose
-stacks hold more letters than remain to be placed, since a letter shortens
-them by at most one; that implies the abelianization (parity) bound and
-more.  The census tag is the last letter and its rule bars that letter's
-inverse, so the walk counts valid strings, and the bad ones end with every
-stack empty.  The `series` rule has no bar and counts every closed walk;
-Grigorchuk's cogrowth formula ties the two counts exactly.  A backward
-pass keeps the classes, by depth, that still complete to a bad string of
-a census length, and one depth-first search, `_search`, follows them, so
-it visits only prefixes of bad strings: a census takes one forward walk,
-one backward pass and one search.  The walk holds at most MAX_STATES
-classes a step, the search runs only when the bad counts bound its nodes
-by MAX_NODES, and a fixed limit on the length refuses far ones.
+passes the rule that moves a stack; a rule reads only the stack's shape
+(empty, one letter or more, and the top sign), so the walk asks it once
+per factor, exponent, tag and shape and moves each class by its own code.
+The walk drops every class whose stacks hold more letters than remain to
+be placed, since a letter shortens them by at most one; that implies the
+abelianization (parity) bound and more.  The census tag is the last letter
+and its rule bars that letter's inverse, so the walk counts valid strings,
+and the bad ones end with every stack empty.  The `series` rule has no bar
+and counts every closed walk; Grigorchuk's cogrowth formula ties the two
+counts exactly.  A backward pass keeps the classes, by depth, that still
+complete to a bad string of a census length, and one depth-first search,
+`_search`, follows them, so it visits only prefixes of bad strings: a
+census takes one forward walk, one backward pass and one search.  The walk
+holds at most MAX_STATES classes a step, the search runs only when the bad
+counts bound its nodes by MAX_NODES, and a fixed limit on the length
+refuses far ones.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
@@ -100,11 +103,6 @@ def _class(width: int, codes, tag: int = 0) -> int:
     return sum(field << width * i for i, field in enumerate(fields))
 
 
-def _key_mask(width: int, f: int) -> int:
-    """The bits of a class that hold its tag and factor f's stack code."""
-    return (1 << width) - 1 << width * (f + 1) | (1 << width) - 1
-
-
 def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain,
           masked=None, moves=None):
     """Run the lumped walk from the class `start` of weight `weight` over
@@ -115,13 +113,16 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
     Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
     `rule(f, code, tag, bit)` gives the moves of factor f's stack `code` in a
     class tagged `tag` under a letter of exponent bit `bit`, as triples of
-    child code, child tag and how many generators of f lead there; `moves`
-    caches them as (class delta, weight) pairs, a push's delta positive, in
-    one dict per (f, bit) keyed by the class's bits under `_key_mask`.  The
-    lazy loop fires whenever the walk has weight at the identity.  After
-    step m only the classes whose stacks hold at most times[-1] - m letters
-    stay: the others cannot get home by the last step.  MAX_STATES bounds
-    the classes kept after this prune at each step.
+    child code (code >> 1 for a pop, 2 * code + bit for a push), child tag
+    and how many generators of f lead there.  A rule reads only the stack's
+    shape, code if code < 4 else 4 | code & 1, so `moves` keeps its moves at
+    the shape, one dict per (f, bit) keyed by tag << 3 | shape, as (pop,
+    delta, weight) triples: the delta moves the tag and the total length,
+    and a class's code moves by -((code + 1) >> 1) on a pop, code + bit on a
+    push.  The lazy loop fires whenever the walk has weight at the identity.
+    After step m only the classes whose stacks hold at most times[-1] - m
+    letters stay: the others cannot get home by the last step.  MAX_STATES
+    bounds the classes kept after this prune at each step.
     """
     q = math.lcm(alpha0.denominator, *(rate.denominator for rate in rates))
     ints = [int(rate * q) for rate in rates]
@@ -131,9 +132,9 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
     low = (1 << width) - 1
     top = width * (len(factors) + 1)
     moves = {} if moves is None else moves
-    # per exponent bit, each factor's shift, key mask and move cache
-    caches = [[(f, width * (f + 1), _key_mask(width, f), moves.setdefault((f, bit), {}))
-               for f in factors] for bit in (0, 1)]
+    # per exponent bit, each factor's shift and move table
+    tables = [[(f, width * (f + 1), moves.setdefault((f, bit), {})) for f in factors]
+              for bit in (0, 1)]
     dist = {start: 1}
     for m in times:
         bit = int((m % 2 == 0) != first_plain)
@@ -142,17 +143,20 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
         nxt: dict[int, int] = {}
         get = nxt.get
         for state, wt in dist.items():
-            for f, shift, mask, cache in caches[bit]:
-                out = cache.get(state & mask)
+            key = (state & low) << 3
+            for f, shift, table in tables[bit]:
+                code = state >> shift & low
+                shape = code if code < 4 else 4 | code & 1
+                out = table.get(key | shape)
                 if out is None:
-                    code, tag = state >> shift & low, state & low
-                    out = cache[state & mask] = [
-                        ((child - code << shift) + child_tag - tag + (2 * (child > code) - 1 << top),
+                    tag = state & low
+                    out = table[key | shape] = [
+                        (child < shape, child_tag - tag + (1 - 2 * (child < shape) << top),
                          ints[f] * ways)
-                        for child, child_tag, ways in rule(f, code, tag, bit) if ints[f] and ways
+                        for child, child_tag, ways in rule(f, shape, tag, bit) if ints[f] and ways
                     ]
-                for delta, w in out:
-                    ns = state + delta
+                for pop, delta, w in out:
+                    ns = state + delta + ((-(code + 1 >> 1) if pop else code + bit) << shift)
                     if ns < limit:
                         nxt[ns] = get(ns, 0) + wt * w
         if lazy and dist.get(home):
@@ -165,20 +169,32 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
         dist = nxt
 
 
+def _bar(ranks):
+    """The census's move rule for `_walk`: the tag is the last letter,
+    2 * factor + pushed + 1 (0 before the first), and the rule bars its
+    base.  After a push in f, f only appends, in rank - 1 ways; after a pop
+    in f, the new top never has the barred generator, so f keeps its cancel
+    if it has one and loses one append."""
+
+    def bar(f, code, tag, bit):
+        cancels = int(code > 1 and code & 1 != bit and tag != 2 * f + 2)
+        appends = ranks[f] - cancels - ((tag - 1) >> 1 == f)
+        return ((code >> 1, 2 * f + 1, cancels), (2 * code + bit, 2 * f + 2, appends))
+
+    return bar
+
+
 def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict, int]:
     """The forward sweep of the lumped class DP of the valid strings of the
-    given lengths: `_walk` at unit weights to the longest length L, opening
-    with an inverse letter.
+    given lengths: `_walk` under `_bar` at unit weights to the longest
+    length L, opening with an inverse letter.
 
-    The tag is the last letter, 2 * factor + pushed + 1 (0 before the
-    first), and the rule bars its base: after a push in f, f only appends,
-    in rank - 1 ways; after a pop in f, the new top never has the barred
-    generator, so f keeps its cancel if it has one and loses one append.
     A letter changes the total stack by exactly one, so the classes at step
     m with at most l - m letters are those of the walk to length l, with the
     same counts: bad(l) counts the empty-stack classes at step l.  Returns
     (bad, layers, moves, width): the bad counts, the classes after each
-    step, the rule's move cache and the bits of a class field.
+    step, the walk's move tables (at most 2F (2F+1) 5 entries for F
+    factors, whatever L) and the bits of a class field.
 
     MAX_STATES caps the walk's classes a step.  A policy limit on L, implied
     by no cap, refuses at once a walk whose s(s-1)^(L/2-1) valid prefixes at
@@ -189,12 +205,6 @@ def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     for length in lengths:
         _check_length(length)
     ranks = signature.factors
-
-    def bar(f, code, tag, bit):
-        cancels = int(code > 1 and code & 1 != bit and tag != 2 * f + 2)
-        appends = ranks[f] - cancels - ((tag - 1) >> 1 == f)
-        return ((code >> 1, 2 * f + 1, cancels), (2 * code + bit, 2 * f + 2, appends))
-
     longest = max(lengths, default=0)
     s, middle = signature.total_generators, longest // 2
     prefixes = s * (s - 1) ** (middle - 1) if middle else 0
@@ -206,7 +216,7 @@ def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     width = longest + len(ranks)
     start = _class(width, [1] * len(ranks))
     moves: dict = {}
-    steps = _walk(signature, bar, [1] * len(ranks), 0, width, start, 1,
+    steps = _walk(signature, _bar(ranks), [1] * len(ranks), 0, width, start, 1,
                   range(1, longest + 1), False, moves=moves)
     layers = [{start: 1}] + [nums for nums, _ in steps]
     top = width * (len(ranks) + 1)
@@ -221,7 +231,9 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     A class at depth k (k letters placed) is live when it has a live move,
     or when its stacks are empty and k is a census length; its moves'
     exponent bit is k mod 2.  One backward pass over the forward layers,
-    longest live length first, numbers the live (class, depth) rows.
+    longest live length first, numbers the live (class, depth) rows; it
+    finds each class's children as the walk did, from the walk's move table
+    of the class's tag and stack shape and the class's own stack code.
     Returns (bad, rows, root): rows[c] lists `(factor, pop child, push
     child)` for every factor with a live move out of row c, a dead move as
     None; root is the row of the empty prefix, None when no length has a
@@ -235,33 +247,24 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
         raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
 
     ranks = signature.factors
+    low = (1 << width) - 1
     top = width * (len(ranks) + 1)
     rows, ids = [], {}
     deepest = max((l for l in bad if bad[l]), default=-1)
-    # each cached move's (pop, push) class deltas; a missing move's delta
-    # leads below every class, to no row
-    pairs: dict = {}
-    dead = -1 << top + width
-    for key, cache in moves.items() if deepest >= 0 else ():
-        pairs[key] = table = {}
-        for masked, out in cache.items():
-            pop = push = dead
-            for delta, _ in out:
-                if delta > 0:
-                    push = delta
-                else:
-                    pop = delta
-            table[masked] = pop, push
     for k in range(deepest, -1, -1):
-        live, leaves, get = {}, k in bad, ids.get
-        # the top live depth has no live move (and no cached one)
-        fields = [(f, _key_mask(width, f), pairs[f, k % 2])
-                  for f in range(len(ranks))] if ids else []
+        live, leaves, get, bit = {}, k in bad, ids.get, k % 2
+        # the top live depth has no live move
+        fields = [(f, width * (f + 1), moves[f, bit]) for f in range(len(ranks))] if ids else []
         for state in layers[k]:
-            row = []
-            for f, mask, cache in fields:
-                pop, push = cache[state & mask]
-                pop_child, push_child = get(state + pop), get(state + push)
+            row, key = [], (state & low) << 3
+            for f, shift, table in fields:
+                code = state >> shift & low
+                pop_child = push_child = None
+                for pop, delta, _ in table[key | (code if code < 4 else 4 | code & 1)]:
+                    if pop:
+                        pop_child = get(state + delta - (code + 1 >> 1 << shift))
+                    else:
+                        push_child = get(state + delta + (code + bit << shift))
                 if pop_child is not None or push_child is not None:
                     row.append((f, pop_child, push_child))
             if row or leaves and not state >> top:
@@ -382,8 +385,9 @@ def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
 
 
 def count_bad_exact(signature: GroupSignature, length: int) -> int:
-    """Exact number of bad valid strings.  It comes off the forward walk
-    alone, so no search cap binds it."""
+    """Exact number of bad valid strings, off the forward walk alone.  No
+    search cap binds it, but the walk's length limit refuses F2xF2 from 34
+    on: 4 * 3^16 prefixes exceed MAX_NODES (see ROADMAP.md, item 2)."""
     return _forward_walk(signature, [length])[0][length]
 
 

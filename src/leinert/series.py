@@ -25,7 +25,9 @@ move rule.  The generators of a factor share one weight, so only each
 factor's string of exponent signs matters: from a word whose last sign
 opposes the step, one of the factor's s_i generators cancels and s_i - 1
 append, else all s_i append.  A class holds its words' summed weight and
-steps with these multiplicities.  This rule has no backtracking bar, so at
+steps with these multiplicities.  Like every rule of `census._walk`, this
+one reads only a stack's shape: whether it is empty, holds one letter or
+more, and its top sign.  This rule has no backtracking bar, so at
 a = 1 and alpha0 = 0 even_returns counts every closed walk.  The excursion
 and masked walks keep apart a first letter that is the tracked generator x
 to the tracked sign (multiplicity 1, the other s_i - 1 appends going
@@ -59,8 +61,8 @@ The checks run on integers too.  A `Series` holds integer numerators over
 one common denominator, in lowest terms, so verify_recurrences and
 generating_functions add, convolve and invert integers, and each residual
 is one numerator over its series' denominator.  A Series takes the least
-common denominator of the Fractions it is given, so it is exact for any
-table, not only for integers over the walk's q^k.
+common denominator of the ints and Fractions it is given, so it is exact
+for any table, not only for integers over the walk's q^k.
 """
 
 from __future__ import annotations
@@ -203,15 +205,10 @@ def dp_tables(
     home = _class(width, [1] * signature.num_factors)
     one = Fraction(1)
 
-    # walks that track one mark run one rule, so they share its move cache
-    rules = {}
-
+    # each walk keys its own moves by stack shape: a few dozen entries at most
     def walk(start, weight, times, first_plain, mark=None, masked=None):
-        if mark not in rules:
-            rules[mark] = _moves(signature.factors, mark), {}
-        rule, moves = rules[mark]
-        return _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain,
-                     masked, moves)
+        return _walk(signature, _moves(signature.factors, mark), rates, alpha0, width, start,
+                     weight, times, first_plain, masked)
 
     def home_weights(*args):
         """The weight at home after each step of a walk from home."""
@@ -300,10 +297,7 @@ class Series:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        try:  # ints and Fractions, the values the package hands over
-            ratios = [c.as_integer_ratio() for c in coeffs]
-        except AttributeError:
-            ratios = [Fraction(c).as_integer_ratio() for c in coeffs]
+        ratios = [c.as_integer_ratio() for c in coeffs]  # ints and Fractions
         self.den = math.lcm(*(d for _, d in ratios))
         self.nums = tuple(n * (self.den // d) for n, d in ratios)
 

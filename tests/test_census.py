@@ -2,6 +2,7 @@
 
 import gc
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from leinert.census import (
     walk_distance_distribution,
 )
 from leinert import census as census_module
+from leinert import series as series_module
 from leinert.cli import run, write_census_csv
 from leinert.groups import Word, is_simple_cycle
 from reference_census import (
@@ -390,6 +392,46 @@ class TestCensusObject:
                 len(bad),
                 kernels,
             )
+
+
+class TestMoveTables:
+    """`_walk` asks a rule once per (factor, bit, tag, stack shape) and finds
+    each class's child from the class's own stack code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranks=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data())
+    def test_rules_read_only_the_shape(self, ranks, data):
+        f = data.draw(st.integers(0, len(ranks) - 1), label="factor")
+        letters = data.draw(st.integers(0, 12), label="letters")
+        code = data.draw(st.integers(1 << letters, (2 << letters) - 1), label="code")
+        bit = data.draw(st.integers(0, 1), label="bit")
+        shape = code if code < 4 else 4 | code & 1
+        # the census rule over its tags, and the series rule for every mark
+        # (a tag is the flag of a marked first letter)
+        rules = [(census_module._bar(ranks), range(2 * len(ranks) + 1))]
+        rules += [(series_module._moves(ranks, mark), (0, 1) if mark else (0,))
+                  for mark in [None, *((g, sign) for g in range(len(ranks)) for sign in (-1, 1))]]
+        for rule, tags in rules:
+            for tag in tags:
+                at_shape = [(code >> 1 if child < shape else 2 * code + bit, child_tag, ways)
+                            for child, child_tag, ways in rule(f, shape, tag, bit)]
+                assert list(rule(f, code, tag, bit)) == at_shape, (tag, rule)
+
+    def test_tables_stay_small(self):
+        # at most one entry per factor, exponent bit, tag and shape, whatever
+        # the length: 2 * F * (2F + 1) * 5 for the census's last-letter tags
+        factors = F2F2.num_factors
+        *_, moves, _ = census_module._forward_walk(F2F2, [24])
+        assert sum(map(len, moves.values())) <= 2 * factors * (2 * factors + 1) * 5 == 100
+        # the series walk's tag is a flag
+        width, one = 25, Fraction(1)
+        home = census_module._class(width, [1] * factors)
+        moves = {}
+        for _ in census_module._walk(F2F2, series_module._moves(F2F2.factors, (0, -1)),
+                                     [one] * factors, Fraction(0), width, home, one,
+                                     range(1, 25), False, moves=moves):
+            pass
+        assert sum(map(len, moves.values())) <= 2 * factors * 2 * 5
 
 
 class TestAgainstReferenceSearch:
