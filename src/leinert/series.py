@@ -206,9 +206,9 @@ def dp_tables(
     one = Fraction(1)
 
     # each walk keys its own moves by stack shape: a few dozen entries at most
-    def walk(start, weight, times, first_plain, mark=None, masked=None):
+    def walk(start, weight, times, mark=None, masked=None):
         return _walk(signature, _moves(signature.factors, mark), rates, alpha0, width, start,
-                     weight, times, first_plain, masked)
+                     weight, times, masked)
 
     def home_weights(*args):
         """The weight at home after each step of a walk from home."""
@@ -217,7 +217,7 @@ def dp_tables(
     # Flipping every exponent is an automorphism fixing the identity, so the
     # plain-first walk returns exactly as often as the inverse-first one:
     # the lagged returns are the latter's odd-step returns.
-    returns = [one] + home_weights(range(1, steps + 1), False)
+    returns = [one] + home_weights(range(1, steps + 1))
     even_returns = tuple(returns[0::2])
     lagged_returns = (zero,) + tuple(returns[1::2])
     # every class sends weight `letters` out by letter steps, and home also
@@ -237,15 +237,16 @@ def dp_tables(
         a = rates[i0]
         opening = _letter(signature, width, i0, -1)
         first, detour, on_opening = [zero, zero], [zero, zero], a
-        for nums, scale in walk(opening, a, range(2, steps + 1), False, (i0, -1), home):
+        for nums, scale in walk(opening, a, range(2, steps + 1), (i0, -1), home):
             first.append(scale * nums.get(home, 0))
             detour.append(first[-1] - a * on_opening)
             on_opening = scale * nums.get(opening, 0)
-        # the masked walks never stand on the tracked plain letter in between
+        # the masked walks never stand on the tracked plain letter in between;
+        # the even one opens with a plain letter, so its steps count from 2
         masked = _letter(signature, width, i0, 1)
         plain = (i0, 1)
-        even = home_weights(range(1, steps - 1), True, plain, masked)
-        odd = home_weights(range(1, steps), False, plain, masked)
+        even = home_weights(range(2, steps), plain, masked)
+        odd = home_weights(range(1, steps), plain, masked)
         # index 0 of the odd table is not an odd horizon
         return tuple(first), tuple(detour), (one, *even), (zero, *odd)
 

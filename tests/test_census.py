@@ -186,6 +186,15 @@ class TestBadCounts:
         monkeypatch.setattr(census_module, "_class_tables", no_search)
         assert count_bad_exact(F2F2, 26) == 5_870_112
 
+    def test_bad_count_past_the_length_policy(self, monkeypatch):
+        # 4 * 3^16 valid prefixes at the middle step refuse a census at 34,
+        # but the count runs no search: its walk holds one layer at a time
+        def no_search(*args, **kwargs):
+            raise AssertionError("ran a search")
+
+        monkeypatch.setattr(census_module, "_class_tables", no_search)
+        assert count_bad_exact(F2F2, 34) == 3_158_761_920
+
     def test_kernels_at_twenty(self):
         # 4.6e9 valid strings, past any enumeration of them: every bad string
         # the search lists is checked for pairwise distinct prefix products
@@ -421,7 +430,9 @@ class TestMoveTables:
         # at most one entry per factor, exponent bit, tag and shape, whatever
         # the length: 2 * F * (2F + 1) * 5 for the census's last-letter tags
         factors = F2F2.num_factors
-        *_, moves, _ = census_module._forward_walk(F2F2, [24])
+        moves = {}
+        for _ in census_module._forward_walk(F2F2, [24], moves)[2]:
+            pass
         assert sum(map(len, moves.values())) <= 2 * factors * (2 * factors + 1) * 5 == 100
         # the series walk's tag is a flag
         width, one = 25, Fraction(1)
@@ -429,7 +440,7 @@ class TestMoveTables:
         moves = {}
         for _ in census_module._walk(F2F2, series_module._moves(F2F2.factors, (0, -1)),
                                      [one] * factors, Fraction(0), width, home, one,
-                                     range(1, 25), False, moves=moves):
+                                     range(1, 25), moves=moves):
             pass
         assert sum(map(len, moves.values())) <= 2 * factors * 2 * 5
 
