@@ -34,6 +34,7 @@ from .bounds import (
     eval_P,
     eval_P_prime,
     eval_Q,
+    free_limit,
     free_radius,
     quadratic_coeffs,
     r_squared_closed_form,
@@ -89,7 +90,7 @@ _SAMPLER = (
     "wilson_interval"
 ).split()
 _SPECTRAL = (
-    "NormEstimate SpectralConfig apply_T estimate_z_inverse free_limit haar_unitary two_norm"
+    "NormEstimate SpectralConfig apply_T estimate_z_inverse haar_unitary two_norm"
 ).split()
 
 

@@ -238,10 +238,15 @@ def solve_G_upper(z: float, problem: RadiusProblem) -> float:
     return g
 
 
+def free_limit(s: int, a: float = 1.0) -> float:
+    """c = 2a sqrt(2s-1), the norm of a times 2s free unitaries (Akemann-Ostrand)."""
+    return 2.0 * a * math.sqrt(2.0 * s - 1.0)
+
+
 def free_radius(s: int, a: float) -> float:
-    """The trivial-decay radius 1/c, c = 2a sqrt(2s - 1) in floats: the c for
-    which every radius here is correctly rounded, so none crosses another."""
-    return 1.0 / (2.0 * a * math.sqrt(2.0 * s - 1.0))
+    """The trivial-decay radius 1/c, c = free_limit(s, a): the one float c
+    every radius here is correctly rounded from, so none crosses another."""
+    return 1.0 / free_limit(s, a)
 
 
 def discriminant_roots(problem: RadiusProblem) -> list[float]:
@@ -264,7 +269,7 @@ def discriminant_roots(problem: RadiusProblem) -> list[float]:
     if problem.d_bound.kind is DKind.ZERO:
         return [free_radius(s, a)]
     R = problem.d_bound.radius
-    c, R2 = Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0)), Fraction(R) ** 2
+    c, R2 = Fraction(free_limit(s, a)), Fraction(R) ** 2
     roots = []
     for sign in (-1, 1):
         cubic = (sign * c, 2 * s, -sign * c * R2, -R2)
@@ -363,7 +368,7 @@ def r_squared_closed_form(z: float, s: int, a: float, branch: int = -1) -> float
     """
     if branch not in (-1, +1):
         raise ValueError("branch must be +1 or -1")
-    y = branch * Fraction(2.0 * a * math.sqrt(2.0 * s - 1.0)) * Fraction(z)
+    y = branch * Fraction(free_limit(s, a)) * Fraction(z)
     if abs(1 + y) < 1e-14:
         raise ZeroDivisionError("singular exactly at the trivial-decay radius")
     return float(Fraction(z) ** 2 * (2 * s + y) / (1 + y))
@@ -412,8 +417,8 @@ def curve_points(
     """Rows (s, a, z_lower, z_upper, z_free_formula) for plotting, at the
     normalization a = 1/(2s).
 
-    z_free_formula is the closed form 1/(2a sqrt(2s-1)), kept separate from
-    the solver outputs on purpose.
+    z_free_formula is the free radius 1/(2a sqrt(2s-1)), as r_upper is, so
+    those two columns are equal by construction.
     """
     d_bound = d_bound or DBound.zero()
     rows = []

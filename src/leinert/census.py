@@ -24,6 +24,13 @@ census takes one forward walk, one backward pass and one search.  The walk
 holds at most MAX_STATES classes a step, the search runs only when the bad
 counts bound its nodes by MAX_NODES, and a fixed limit on the length
 refuses far searches, though not the bare counts of `count_bad_exact`.
+Where some factor's complement holds at most one generator, no string is
+bad, and nothing walks (`_may_be_bad`).  Two letters of that factor that
+cancel have opposite exponents, so the innermost such pair has an even
+number of letters between it: at least two, as neighbours differ in base,
+all of other factors and so on at most one base, which puts two neighbours
+on one base.  So that factor never cancels, a bad string has none of its
+letters, and all of its letters lie on at most one base: none is valid.
 
 A bad string is a kernel (minimal) when no proper substring is bad.  The
 substring of letters i+1..j evaluates to P_i^{-1} P_j, with P_k the product
@@ -184,6 +191,16 @@ def _bar(ranks):
     return bar
 
 
+def _may_be_bad(signature: GroupSignature, lengths: Iterable[int]) -> bool:
+    """False where no string is bad; ValueError where no string is valid."""
+    s = signature.total_generators
+    if s < 2:
+        raise ValueError("valid strings need at least two generators")
+    for length in lengths:
+        _check_length(length)
+    return s - max(signature.factors) >= 2
+
+
 def _forward_walk(signature: GroupSignature, lengths: list[int], moves=None) -> tuple:
     """The forward sweep of the lumped class DP of the valid strings of the
     given lengths: `_walk` under `_bar` at unit weights to the longest
@@ -197,10 +214,6 @@ def _forward_walk(signature: GroupSignature, lengths: list[int], moves=None) -> 
     as it is read.  `moves` receives the walk's move tables (at most
     2F (2F+1) 5 entries for F factors, whatever L).
     """
-    if signature.total_generators < 2:
-        raise ValueError("valid strings need at least two generators")
-    for length in lengths:
-        _check_length(length)
     ranks = signature.factors
     longest = max(lengths, default=0)
     # each field holds a stack of up to L letters and the tag's 2 * factors
@@ -224,11 +237,14 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     Returns (bad, rows, root): rows[c] lists `(factor, pop child, push
     child)` for every factor with a live move out of row c, a dead move as
     None; root is the row of the empty prefix, None when no length has a
-    bad string.  A policy limit on L, implied by no cap, refuses at once a
-    search whose s(s-1)^(L/2-1) valid prefixes at the middle step exceed
-    MAX_NODES.  Every search node is a prefix of a bad string, so the
-    search is refused when the sum of (l+1) * bad(l) exceeds MAX_NODES.
+    bad string, with no walk where `_may_be_bad` is False.  A policy limit
+    on L, implied by no cap, refuses at once a search whose s(s-1)^(L/2-1)
+    valid prefixes at the middle step exceed MAX_NODES.  Every search node
+    is a prefix of a bad string, so the search is refused when the sum of
+    (l+1) * bad(l) exceeds MAX_NODES.
     """
+    if not _may_be_bad(signature, lengths):
+        return dict.fromkeys(lengths, 0), [], None
     longest = max(lengths, default=0)
     s, middle = signature.total_generators, longest // 2
     prefixes = s * (s - 1) ** (middle - 1) if middle else 0
@@ -387,6 +403,8 @@ def count_bad_exact(signature: GroupSignature, length: int) -> int:
     layer held at a time.  No search follows, so only MAX_STATES binds it:
     on a 2-vCPU VM F2xF2 answers at 38 in 6.3 s at 174 MB, and at 98 is
     refused at step 22, after 9.5 s and 859 MB, not at once."""
+    if not _may_be_bad(signature, [length]):
+        return 0
     *_, steps = _forward_walk(signature, [length])
     for layer in steps:
         pass
@@ -555,8 +573,6 @@ def brute_force_return_walks(s: int, steps: int, first_return_only: bool = False
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if steps == 0:
-        return 1
     counts = {0: 1}
     for t in range(1, steps + 1):
         counts = _tree_step(s, counts)
@@ -582,29 +598,12 @@ def walk_formula_comparison(
     s_values: Sequence[int] = (1, 2), max_steps: int = 10
 ) -> list[WalkComparisonRow]:
     """Side-by-side table of DP walk counts against the geometric formulas."""
-    rows = []
-    for s in s_values:
-        for steps in range(2, max_steps + 1, 2):
-            half = steps // 2
-            rows.append(
-                WalkComparisonRow(
-                    s,
-                    steps,
-                    "first_return",
-                    brute_force_return_walks(s, steps, first_return_only=True),
-                    first_return_formula(s, half),
-                )
-            )
-            rows.append(
-                WalkComparisonRow(
-                    s,
-                    steps,
-                    "all_returns",
-                    brute_force_return_walks(s, steps),
-                    return_walks_formula(s, half),
-                )
-            )
-    return rows
+    kinds = (("first_return", True, first_return_formula),
+             ("all_returns", False, return_walks_formula))
+    return [WalkComparisonRow(s, steps, kind, brute_force_return_walks(s, steps, first_only),
+                              formula(s, steps // 2))
+            for s in s_values for steps in range(2, max_steps + 1, 2)
+            for kind, first_only, formula in kinds]
 
 
 # -- decay-rate fitting -------------------------------------------------------

@@ -31,6 +31,7 @@ from .bounds import (
     bound_report,
     curve_points,
     discriminant_roots,
+    free_limit,
     free_radius,
     radius_from_discriminant,
 )
@@ -57,7 +58,7 @@ EXIT_BUDGET = 3
 __getattr__ = _lazy_names(
     globals(),
     sampler=("SampleConfig", "estimate_bad_frequency"),
-    spectral=("NormEstimate", "SpectralConfig", "estimate_z_inverse", "free_limit"),
+    spectral=("NormEstimate", "SpectralConfig", "estimate_z_inverse"),
 )
 _cli = sys.modules[__name__]
 # the subcommands that reach those names
@@ -154,11 +155,10 @@ class _Manifest:
             path.write_bytes(data)
             outputs[name] = hashlib.sha256(data).hexdigest()
             print(f"wrote {path}")
-        seed = config.get("seed")
         body = {
             "subcommand": self.subcommand,
             "config": config,
-            "seed": None if seed in (None, "None") else int(seed),
+            "seed": getattr(args, "seed", None),
             "version": __version__,
             "duration_s": round(duration, 3),
             "outputs": outputs,

@@ -337,15 +337,16 @@ class Series:
     def __eq__(self, other):
         return isinstance(other, Series) and (self.nums, self.den) == (other.nums, other.den)
 
-    def __add__(self, other: "Series") -> "Series":
+    def _plus(self, other: "Series", sign: int) -> "Series":  # self + sign * other
         den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
+        a, b = den // self.den, sign * (den // other.den)
         return Series._of([x * a + y * b for x, y in zip(self.nums, other.nums)], den)
 
+    def __add__(self, other: "Series") -> "Series":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "Series") -> "Series":
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return Series._of([x * a - y * b for x, y in zip(self.nums, other.nums)], den)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Series") -> "Series":
         k = min(len(self.nums), len(other.nums))

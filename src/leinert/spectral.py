@@ -17,7 +17,7 @@ over the eigenvalues of U and V, computed directly.
 
 The mean over trials estimates the reciprocal radius the bounds module
 brackets.  As N grows the norm tends to the F_s x F_s norm of T, not to
-the norm 2a sqrt(2s-1) of 2s free unitaries; both are 2a at s = 1.
+`bounds.free_limit`, 2a sqrt(2s-1) for 2s free unitaries; both are 2a at s = 1.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .bounds import free_limit  # noqa: F401  (re-exported)
 
 # Lanczos steps per restart cycle.  It bounds the tridiagonal the stop test
 # diagonalizes, so a trial that never converges costs O(MAX_ITERS) matvecs
@@ -235,11 +236,3 @@ def estimate_z_inverse(config: SpectralConfig) -> NormEstimate:
         residuals=tuple(r.residual for r in results),
     )
 
-
-def free_limit(s: int, a: float = 1.0) -> float:
-    """2 a sqrt(2s-1), the norm of a times 2s free unitaries (Akemann-Ostrand).
-
-    The U_i (x) I and I (x) V_j commute, so as N grows T's norm tends to the
-    F_s x F_s norm instead, larger at s = 2.  At s = 1 both are 2a.
-    """
-    return 2.0 * a * math.sqrt(2.0 * s - 1.0)

@@ -21,6 +21,7 @@ from leinert import (
     eval_P,
     eval_P_prime,
     eval_Q,
+    free_limit,
     free_radius,
     quadratic_coeffs,
     r_squared_closed_form,
@@ -669,3 +670,44 @@ class TestReport:
             assert z_free == pytest.approx(s / math.sqrt(2 * s - 1))
             assert z_lower <= z_upper + 1e-12
             assert z_upper == pytest.approx(z_free, rel=1e-9)
+
+
+class TestFreeLimit:
+    """c = 2a sqrt(2s - 1) has one definition, which every radius reads."""
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-100, 0.1, 0.25, 1 / 3, 1.0, 7.5, 1e100, 1e300])
+    def test_free_radius_is_its_reciprocal(self, a):
+        for s in range(1, 13):
+            assert free_radius(s, a) == 1.0 / free_limit(s, a)  # bit for bit
+
+    def test_discriminant_sides_read_it(self, monkeypatch):
+        # a c off by a factor moves the root and its closed-form inverse
+        problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.radius_form(2.0))
+        z = radius_from_discriminant(problem)
+        R2 = r_squared_closed_form(z, 2, 0.25)
+        monkeypatch.setattr(bounds, "free_limit", lambda s, a=1.0: 2 * free_limit(s, a))
+        assert radius_from_discriminant(problem) != z
+        assert r_squared_closed_form(z, 2, 0.25) != R2
+        assert free_radius(2, 0.25) == 0.5 / free_limit(2, 0.25)
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DBound.radius_form(0.0), "rate/radius parameter must be positive"),
+            (lambda: DBound.geometric_rate(-1.0), "rate/radius parameter must be positive"),
+            (lambda: RadiusProblem(s=0, a=1.0, d_bound=DBound.zero()), "s must be >= 1"),
+            (lambda: eval_P_prime(-1.0, uniform(2, 0.5)), "t must be nonnegative"),
+            (lambda: woess_radius([0.5, 0.0, 0.5]), "weights must be positive"),
+            (lambda: r_squared_closed_form(0.5, 2, 0.25, branch=0), "branch must be"),
+        ],
+        ids=["radius-zero", "rate-negative", "s-zero", "t-negative", "weight-zero", "branch"],
+    )
+    def test_bad_input_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_relative_gap_of_a_zero_lower_radius(self):
+        problem = RadiusProblem(s=2, a=0.25, d_bound=DBound.zero())
+        assert BoundReport(problem, 0.0, 1.0, 1.0).relative_gap == math.inf

@@ -1,6 +1,7 @@
 """Exact enumeration: valid-string counts, bad censuses, walk identities."""
 
 import gc
+import itertools
 import math
 from fractions import Fraction
 
@@ -297,6 +298,62 @@ class TestBadCounts:
         assert len(weights) == sum(first_occurrence_form(seq, ranks) for seq in kernels)
 
 
+class TestNoBadStrings:
+    """Where some factor's complement holds at most one generator, that
+    factor's letters never cancel and no valid string is bad (the proof is
+    in the census module docstring); counts and censuses skip the walk."""
+
+    SIGNATURES = [
+        GroupSignature(ranks)
+        for factors in (1, 2, 3)
+        for ranks in itertools.product((1, 2, 3), repeat=factors)
+        if sum(ranks) >= 2
+    ]
+
+    def test_the_walk_finds_none(self):
+        # past the shortcut: the forward walk itself ends with no class home
+        no_bad = [sig for sig in self.SIGNATURES if not census_module._may_be_bad(sig, [])]
+        assert sorted(sig.factors for sig in no_bad) == [
+            (1, 1), (1, 2), (1, 3), (2,), (2, 1), (3,), (3, 1)
+        ]
+        for sig in no_bad:
+            for length in range(2, 15, 2):
+                *_, steps = census_module._forward_walk(sig, [length])
+                for layer in steps:
+                    pass
+                assert sum(layer.values()) == 0, (sig, length)
+
+    def test_the_others_have_bad_strings_by_length_eight(self):
+        # the converse, checked rather than proved
+        for sig in self.SIGNATURES:
+            if census_module._may_be_bad(sig, []):
+                assert any(count_bad_exact(sig, length) for length in (2, 4, 6, 8)), sig
+
+    def test_counts_and_censuses_skip_the_walk(self, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(census_module, "_walk", no_walk)
+        monkeypatch.setattr(census_module, "_search", no_walk)
+        sig = parse_signature("F2xF1")
+        census = take_census(sig, range(2, 53, 2))
+        assert all((e.bad, e.kernels) == (0, 0) for e in census.entries.values())
+        assert census.entries[52].total_valid == valid_string_count(sig, 52)
+        assert count_bad_exact(parse_signature("F3"), 98) == 0
+        assert list(iter_bad_strings(parse_signature("F1xF1"), 4000)) == []
+
+    def test_bad_input_is_still_refused(self):
+        one = parse_signature("F1")
+        with pytest.raises(ValueError, match="need at least two generators"):
+            take_census(one, [2])
+        with pytest.raises(ValueError, match="need at least two generators"):
+            count_bad_exact(one, 2)
+        with pytest.raises(ValueError, match="even length >= 2, got 7"):
+            count_bad_exact(parse_signature("F3"), 7)
+        with pytest.raises(ValueError, match="even length >= 2, got 5"):
+            take_census(parse_signature("F2xF1"), [2, 5])
+
+
 class TestCensusObject:
     def test_take_census(self):
         census = take_census(F2F2, range(2, 11, 2))
@@ -514,6 +571,10 @@ class TestClosedForms:
         # counts plus an equal-sized mirrored family it misses
         assert count_bad_exact(F2F2, 8) == 2 * bad_count_length8_formula(2, 2)
 
+    def test_length8_formula_needs_positive_ranks(self):
+        with pytest.raises(ValueError, match="factor ranks must be positive"):
+            bad_count_length8_formula(0, 2)
+
     def test_length12_bracket(self):
         assert bad_count_length12_formula(8, 4) == 176
         assert bad_count_length12_formula(16, 4) == 352
@@ -539,6 +600,12 @@ class TestCompositions:
             assert len(tuples) == compositions_count(total) == 2 ** (total - 1)
             assert all(sum(t) == total and min(t) >= 1 for t in tuples)
             assert len(set(tuples)) == len(tuples)
+
+    def test_needs_a_positive_total(self):
+        with pytest.raises(ValueError, match="total must be positive"):
+            compositions_count(0)
+        with pytest.raises(ValueError, match="total must be positive"):
+            list(iter_compositions(0))
 
     def test_sum_identity_vanishes(self):
         for s in range(1, 6):
@@ -567,6 +634,14 @@ class TestWalkCounts:
         assert brute_force_return_walks(1, 2, first_return_only=True) == 2
         assert brute_force_return_walks(2, 2, first_return_only=True) == 4
 
+    def test_zero_steps(self):
+        # the empty walk is the one walk of no steps, and a first return too
+        for s in (1, 2, 3):
+            assert brute_force_return_walks(s, 0) == 1
+            assert brute_force_return_walks(s, 0, first_return_only=True) == 1
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            brute_force_return_walks(1, -1)
+
     def test_rank_one_is_central_binomial(self):
         # F_1 = Z, so returns in 2n steps are lattice-path counts
         for n in range(1, 8):
@@ -590,6 +665,21 @@ class TestWalkCounts:
         assert return_walks_formula(1, 3) == 18
         assert brute_force_return_walks(2, 6) == 232
         assert return_walks_formula(2, 3) == 196
+
+    def test_comparison_table_rows(self):
+        # per (s, steps), the first-return row and then the all-returns row
+        rows = [(r.s, r.steps, r.kind, r.dp_count, r.formula_count)
+                for r in walk_formula_comparison((1, 2), 10)]
+        expected = []
+        for s, counts in (
+            (1, [(2, 2, 2, 2), (2, 2, 6, 6), (4, 2, 20, 18), (10, 2, 70, 54), (28, 2, 252, 162)]),
+            (2, [(4, 4, 4, 4), (12, 12, 28, 28), (72, 36, 232, 196), (540, 108, 2092, 1372),
+                 (4536, 324, 19864, 9604)]),
+        ):
+            for steps, (first, first_formula, every, every_formula) in zip(range(2, 11, 2), counts):
+                expected.append((s, steps, "first_return", first, first_formula))
+                expected.append((s, steps, "all_returns", every, every_formula))
+        assert rows == expected
 
     def test_comparison_table_shape(self):
         rows = walk_formula_comparison((1, 2), 10)

@@ -103,6 +103,7 @@ class TestExitCodes:
                 ["sample", "--group", "F32769", "--seed", "1"],
                 "error: letter codes are uint16: at most 32768 generators",
             ),
+            (["radius", "--s", "0", "--a", "1"], "error: s must be >= 1"),
         ],
     )
     def test_bad_config_is_usage_error(self, argv, message, capsys):
@@ -354,6 +355,18 @@ class TestCensus:
             ["24", "376572715308", "1266176", "172608"],
         ]
 
+    @pytest.mark.parametrize("group, max_length", [("F2xF1", "52"), ("F3", "99"), ("F1xF1", "4000")])
+    def test_no_bad_strings_without_a_walk(self, group, max_length, tmp_path):
+        # these products have no bad string, so no walk runs and no length
+        # limit applies
+        out = tmp_path / "c"
+        started = time.perf_counter()
+        assert run(["census", "--group", group, "--max-length", max_length, "--out", str(out)]) == 0
+        assert time.perf_counter() - started < 1
+        header, *rows = (out / "census.csv").read_text().splitlines()
+        assert len(rows) == int(max_length) // 2
+        assert all(row.split(",")[2:] == ["0", "0", "0"] for row in rows)
+
     def test_class_cap_is_budget_failure(self, monkeypatch, capsys):
         # the census runs the series walk, so the walk's class cap binds it too
         monkeypatch.setattr("leinert.census.MAX_STATES", 10)
@@ -590,6 +603,18 @@ class TestBlasThreads:
     def test_import_leaves_the_environment_alone(self):
         assert json.loads(run_python(BLAS_ENV)) == [None, False, None]
 
+    def test_manifest_seed(self, tmp_path):
+        # the seed a run used, as a number; null where the subcommand has none
+        for argv, seed in (
+            (["census", "--group", "Z3", "--max-length", "4"], None),
+            (["bounds", "--s", "2", "--a", "0.25"], None),
+            (["sample", "--group", "F2xF2", "--max-length", "4", "--samples", "100",
+              "--seed", "7"], 7),
+        ):
+            out = tmp_path / argv[0]
+            assert run(argv + ["--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
     def test_manifest_records_it_only_where_numpy_runs(self, tmp_path):
         out = tmp_path / "c"
         assert run(["census", "--group", "Z3", "--max-length", "4", "--out", str(out)]) == 0
@@ -646,6 +671,14 @@ class TestLazyNames:
             assert getattr(cli, name) is getattr(sampler, name)
         for name in ("NormEstimate", "SpectralConfig", "estimate_z_inverse", "free_limit"):
             assert getattr(cli, name) is getattr(spectral, name)
+
+    def test_free_limit_comes_without_numpy(self):
+        # c = 2a sqrt(2s - 1) lives in bounds, so reading it loads no numpy
+        script = (
+            "import sys, leinert, leinert.cli as cli\n"
+            "print(leinert.free_limit(5, 0.5), cli.free_limit(1), 'numpy' in sys.modules)\n"
+        )
+        assert run_python(script).split() == ["3.0", "2.0", "False"]
 
     def test_unknown_names_raise(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -815,8 +848,12 @@ class TestRadiusAndBounds:
         assert "0.6886915516" in out
         assert "all discriminant roots" in out
 
-    def test_bad_d_bound_is_usage_error(self):
+    def test_bad_d_bound_is_usage_error(self, capsys):
         assert run(["radius", "--s", "2", "--a", "0.25", "--d-bound", "huh"]) == 2
+        assert run(["bounds", "--s", "2", "--a", "0.25", "--d-bound", "R=-1"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "argument --d-bound: bad d-bound 'R=-1': rate/radius parameter must be positive"
+        )
 
     @pytest.mark.parametrize("a", ["1e-300", "1e-200", "1e300", "5e307"])
     def test_bounds_answers_where_radius_does(self, a, tmp_path, capsys):

@@ -69,6 +69,14 @@ class TestParsing:
         with pytest.raises(MalformedWordError):
             w("f1g3")  # rank 2 factor
 
+    def test_rejects_bad_exponent(self):
+        with pytest.raises(MalformedWordError, match="exponent must be"):
+            Letter(0, 0, 2)
+
+    def test_rejects_product_across_signatures(self):
+        with pytest.raises(MalformedWordError, match="different signatures"):
+            w(KERNEL8) * Word(Z2, (Letter(0, 0, -1),))
+
     def test_rejects_bad_signature(self):
         with pytest.raises(MalformedWordError):
             GroupSignature(())

@@ -166,6 +166,18 @@ class TestSampling:
         assert expected[:4000].all() and not expected[-2 * s:].any()
         assert (sampler._balanced(codes, weight) == expected).all()
 
+    @pytest.mark.parametrize(
+        "length, model, message",
+        [
+            (0, StringModel.VALID, "length must be >= 2"),
+            (1, StringModel.REDUCED, "length must be >= 2"),
+            (7, StringModel.VALID, "valid strings have even length"),
+        ],
+    )
+    def test_config_refuses_lengths(self, length, model, message):
+        with pytest.raises(ValueError, match=message):
+            SampleConfig(F2F2, length, 100, seed=0, model=model)
+
     def test_deterministic_given_seed(self):
         config = SampleConfig(F2F2, 8, 2000, seed=5)
         a = estimate_bad_frequency(config)
@@ -242,6 +254,18 @@ class TestWilson:
         assert 0 <= lo < hi < 1
         lo, hi = wilson_interval(30, 30)
         assert 0 < lo < hi <= 1
+
+    @pytest.mark.parametrize(
+        "successes, trials, message",
+        [
+            (0, 0, "trials must be >= 1"),
+            (-1, 10, r"successes must lie in \[0, trials\]"),
+            (11, 10, r"successes must lie in \[0, trials\]"),
+        ],
+    )
+    def test_refuses_impossible_counts(self, successes, trials, message):
+        with pytest.raises(ValueError, match=message):
+            wilson_interval(successes, trials)
 
     def test_coverage_simulation(self):
         # 95 percent coverage for a fair coin, many repetitions

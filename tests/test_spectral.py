@@ -20,7 +20,7 @@ from leinert import (
     rng,
     two_norm,
 )
-from leinert import spectral
+from leinert import bounds, spectral
 from leinert.cli import spectral_summary, write_spectral_csv
 
 
@@ -52,6 +52,10 @@ class TestHaar:
         for N in (2, 7, 40):
             u = haar_unitary(N, gen)
             assert np.allclose(u @ u.conj().T, np.eye(N), atol=1e-12)
+
+    def test_needs_a_positive_size(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            haar_unitary(0, rng.philox(0, 0))
 
     def test_determinism(self):
         a = haar_unitary(9, rng.philox(3, 4))
@@ -239,6 +243,10 @@ class TestEstimate:
     def test_free_limit_values(self):
         assert free_limit(2) == pytest.approx(2 * math.sqrt(3))
         assert free_limit(2, 0.25) == pytest.approx(math.sqrt(3) / 2)
+
+    def test_free_limit_is_the_bounds_one(self):
+        # one definition of c = 2a sqrt(2s - 1), which the radius side reads
+        assert spectral.free_limit is bounds.free_limit is free_limit
 
     def test_summary_fields(self):
         est = estimate_z_inverse(SpectralConfig(s=2, N=10, trials=2, seed=3))
