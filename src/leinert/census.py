@@ -6,11 +6,11 @@ sequences with adjacent bases distinct, and a prefix evaluates through
 per-factor cancellation stacks.  The census and the walk DP in `series`
 lump prefixes into classes (Kemeny-Snell lumpability; Flajolet-Sedgewick,
 Analytic Combinatorics, ch. V, on transfer matrices) and step them with one
-walk, `_walk`.  A class is one int: a tag, each factor's stack as a bit
-code of exponent signs, and the total stack length on top.  Each caller
-passes the rule that moves a stack; a rule reads only the stack's shape
-(empty, one letter or more, and the top sign), so the walk asks it once
-per factor, exponent, tag and shape and moves each class by its own code.
+walk, `_walk`, on integer weights.  A class is one int: a tag, each
+factor's stack as a bit code of exponent signs, and the total stack length
+on top.  A caller's rule reads only a stack's shape (empty, one letter or
+more, the top sign) and gives each move's pop flag, tag and ways; the walk
+asks it once per factor, exponent, tag and shape and writes every code.
 The walk drops every class whose stacks hold more letters than remain to
 be placed, since a letter shortens them by at most one; that implies the
 abelianization (parity) bound and more.  The census tag is the last letter
@@ -110,30 +110,25 @@ def _class(width: int, codes, tag: int = 0) -> int:
     return sum(field << width * i for i, field in enumerate(fields))
 
 
-def _walk(signature, rule, rates, alpha0, width, start, weight, times, masked=None,
-          moves=None):
-    """Run the lumped walk from the class `start` of weight `weight` over
-    the steps `times`, yielding after each step the classes' integer
-    numerators and their common scale weight / q^k (k steps taken); `masked`
-    is dropped after each yield.
+def _walk(signature, rule, ints, lazy, width, start, times, masked=None, moves=None):
+    """Run the lumped walk from the class `start` over the steps `times`,
+    yielding after each step its layer, each class's integer weight: a
+    letter of factor f weighs ints[f], and the lazy loop, which fires
+    whenever the walk has weight at the identity, weighs `lazy`.  `masked`
+    is dropped after each yield.  Step m is plain (exponent +1) when m is even.
 
-    Step m is plain (exponent +1) when m is even.
-    `rule(f, code, tag, bit)` gives the moves of factor f's stack `code` in a
-    class tagged `tag` under a letter of exponent bit `bit`, as triples of
-    child code (code >> 1 for a pop, 2 * code + bit for a push), child tag
+    `rule(f, code, tag, bit)` gives the moves of factor f's stack `code` in
+    a class tagged `tag` under a letter of exponent bit `bit`, as triples
+    (pops, child tag, ways): whether it cancels the top, the tag after it,
     and how many generators of f lead there.  A rule reads only the stack's
-    shape, code if code < 4 else 4 | code & 1, so `moves` keeps its moves at
-    the shape, one dict per (f, bit) keyed by tag << 3 | shape, as (pop,
+    shape, code if code < 4 else 4 | code & 1, so `moves` keeps its moves
+    at the shape, one dict per (f, bit) keyed by tag << 3 | shape, as (pops,
     delta, weight) triples: the delta moves the tag and the total length,
-    and a class's code moves by -((code + 1) >> 1) on a pop, code + bit on a
-    push.  The lazy loop fires whenever the walk has weight at the identity.
-    After step m only the classes whose stacks hold at most times[-1] - m
-    letters stay: the others cannot get home by the last step.  MAX_STATES
-    bounds the classes kept after this prune at each step.
+    and a class's code moves by -((code + 1) >> 1) on a pop, code + bit on
+    a push.  After step m only the classes whose stacks hold at most
+    times[-1] - m letters stay: the others cannot get home by the last
+    step.  MAX_STATES bounds the classes kept after this prune at each step.
     """
-    q = math.lcm(alpha0.denominator, *(rate.denominator for rate in rates))
-    ints = [int(rate * q) for rate in rates]
-    lazy = int(alpha0 * q)
     factors = range(signature.num_factors)
     home = _class(width, [1 for _ in factors])
     low = (1 << width) - 1
@@ -158,9 +153,8 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, masked=No
                 if out is None:
                     tag = state & low
                     out = table[key | shape] = [
-                        (child < shape, child_tag - tag + (1 - 2 * (child < shape) << top),
-                         ints[f] * ways)
-                        for child, child_tag, ways in rule(f, shape, tag, bit) if ints[f] and ways
+                        (pops, child_tag - tag + (1 - 2 * pops << top), ints[f] * ways)
+                        for pops, child_tag, ways in rule(f, shape, tag, bit) if ints[f] and ways
                     ]
                 for pop, delta, w in out:
                     ns = state + delta + ((-(code + 1 >> 1) if pop else code + bit) << shift)
@@ -170,23 +164,22 @@ def _walk(signature, rule, rates, alpha0, width, start, weight, times, masked=No
             nxt[home] = nxt.get(home, 0) + dist[home] * lazy
         if len(nxt) > MAX_STATES:
             raise BudgetExceededError(f"walk on {signature}, step {m}", len(nxt), MAX_STATES)
-        weight /= q
-        yield nxt, weight
+        yield nxt
         nxt.pop(masked, None)
         dist = nxt
 
 
 def _bar(ranks):
-    """The census's move rule for `_walk`: the tag is the last letter,
-    2 * factor + pushed + 1 (0 before the first), and the rule bars its
-    base.  After a push in f, f only appends, in rank - 1 ways; after a pop
-    in f, the new top never has the barred generator, so f keeps its cancel
-    if it has one and loses one append."""
+    """The census's move rule for `_walk`, a cancel and an append: the tag
+    is the last letter, 2 * factor + pushed + 1 (0 before the first), and
+    the rule bars its base.  After a push in f, f only appends, in rank - 1
+    ways; after a pop in f, the new top never has the barred generator, so
+    f keeps its cancel if it has one and loses one append."""
 
     def bar(f, code, tag, bit):
         cancels = int(code > 1 and code & 1 != bit and tag != 2 * f + 2)
         appends = ranks[f] - cancels - ((tag - 1) >> 1 == f)
-        return ((code >> 1, 2 * f + 1, cancels), (2 * code + bit, 2 * f + 2, appends))
+        return ((True, 2 * f + 1, cancels), (False, 2 * f + 2, appends))
 
     return bar
 
@@ -219,9 +212,8 @@ def _forward_walk(signature: GroupSignature, lengths: list[int], moves=None) -> 
     # each field holds a stack of up to L letters and the tag's 2 * factors
     width = longest + len(ranks)
     start = _class(width, [1] * len(ranks))
-    steps = _walk(signature, _bar(ranks), [1] * len(ranks), 0, width, start, 1,
-                  range(1, longest + 1), moves=moves)
-    return width, start, (nums for nums, _ in steps)
+    return width, start, _walk(signature, _bar(ranks), [1] * len(ranks), 0, width, start,
+                               range(1, longest + 1), moves=moves)
 
 
 def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, list, int | None]:
@@ -250,7 +242,7 @@ def _class_tables(signature: GroupSignature, lengths: list[int]) -> tuple[dict, 
     prefixes = s * (s - 1) ** (middle - 1) if middle else 0
     if prefixes > MAX_NODES:
         raise BudgetExceededError(
-            f"walk on {signature} to length {longest}, valid prefixes at step {middle}",
+            f"search on {signature} to length {longest}, valid prefixes at step {middle}",
             prefixes, MAX_NODES)
     moves: dict = {}
     width, start, steps = _forward_walk(signature, lengths, moves)

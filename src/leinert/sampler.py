@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .census import GrowthEstimate
+from .census import GrowthEstimate, _may_be_bad
 from .groups import GroupSignature, reduce_stacks
 
 CHUNK = 16384
@@ -63,10 +63,8 @@ class SampleConfig:
             raise ValueError("samples must be >= 1")
         if self.length < 2:
             raise ValueError("length must be >= 2")
-        if self.model is StringModel.VALID and self.length % 2:
-            raise ValueError("valid strings have even length")
-        if self.model is StringModel.VALID and self.signature.total_generators < 2:
-            raise ValueError("valid strings need at least two generators")
+        if self.model is StringModel.VALID:
+            _may_be_bad(self.signature, [self.length])  # ValueError where none is valid
         if self.signature.total_generators > 2**15:
             raise ValueError("letter codes are uint16: at most 32768 generators")
 

@@ -48,14 +48,14 @@ others cannot get home in time.  layer_mass needs no classes.  Every class
 sends out the letter weight l = sum_i s_i rate_i, and the identity also
 alpha0, so mass_m = l mass_(m-1) + alpha0 returns_(m-1).
 
-The class weights are Python ints over one common denominator.  With q the
-lcm of the denominators of alpha0 and the factor rates, every step weight
-is an integer numerator over q, so a step multiplies and adds integers
-only, and after k steps a class weighs (start weight) / q^k times its
-numerator.  That one Fraction per step turns the classes the tables read
-(home, the opening letter) into exact weights; no other class is ever
-normalised.  In norm mode at a = 1, q is 1 and the numerators are path
-counts.
+The class weights are Python ints over one common denominator.  dp_tables
+forms q, the lcm of the denominators of alpha0 and the factor rates, once,
+and walks on the integer step weights alpha0 q and rate q, so a step
+multiplies and adds integers only, and after k steps a class weighs (start
+weight) / q^k times its numerator.  That one Fraction per step turns the
+classes the tables read (home, the opening letter) into exact weights; no
+other class is ever normalised.  In norm mode at a = 1, q is 1 and the
+numerators are path counts.
 
 The checks run on integers too.  A `Series` holds integer numerators over
 one common denominator, in lowest terms, so verify_recurrences and
@@ -160,19 +160,18 @@ def _moves(ranks, mark):
     The tag flags that the marked factor's bottom letter is the tracked
     generator to the tracked sign.  A letter of exponent bit `bit` (1 for
     +1) on factor f's stack `code` cancels its top in one way if the signs
-    oppose and appends in the other ways.  Emptying the marked factor clears
-    the flag; a letter of the tracked sign on the empty marked factor splits
-    its appends into the tracked generator and the rest.
+    oppose and appends in the other ways, each a move (pops, child tag,
+    ways).  Emptying the marked factor (code < 4) clears the flag; a letter
+    of the tracked sign on the empty marked factor splits its appends into
+    the tracked generator and the rest.
     """
 
     def rule(f, code, tag, bit):
-        push = 2 * code + bit
         if code > 1 and code & 1 != bit:
-            pop = code >> 1
-            return ((pop, int(tag and (pop > 1 or f != mark[0])), 1), (push, tag, ranks[f] - 1))
+            return ((True, int(tag and (code > 3 or f != mark[0])), 1), (False, tag, ranks[f] - 1))
         if mark == (f, 2 * bit - 1) and code == 1:
-            return ((push, 1, 1), (push, 0, ranks[f] - 1))
-        return ((push, tag, ranks[f]),)
+            return ((False, 1, 1), (False, 0, ranks[f] - 1))
+        return ((False, tag, ranks[f]),)
 
     return rule
 
@@ -204,11 +203,16 @@ def dp_tables(
     width = steps + 1
     home = _class(width, [1] * signature.num_factors)
     one = Fraction(1)
+    q = math.lcm(alpha0.denominator, *(rate.denominator for rate in rates))
+    ints, lazy = [int(rate * q) for rate in rates], int(alpha0 * q)
 
-    # each walk keys its own moves by stack shape: a few dozen entries at most
+    # each layer of a walk, with its scale weight / q^k after k steps; each
+    # walk keys its own moves by stack shape, a few dozen entries at most
     def walk(start, weight, times, mark=None, masked=None):
-        return _walk(signature, _moves(signature.factors, mark), rates, alpha0, width, start,
-                     weight, times, masked)
+        rule = _moves(signature.factors, mark)
+        for nums in _walk(signature, rule, ints, lazy, width, start, times, masked):
+            weight /= q
+            yield nums, weight
 
     def home_weights(*args):
         """The weight at home after each step of a walk from home."""

@@ -3,7 +3,6 @@
 import gc
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -461,8 +460,8 @@ class TestCensusObject:
 
 
 class TestMoveTables:
-    """`_walk` asks a rule once per (factor, bit, tag, stack shape) and finds
-    each class's child from the class's own stack code."""
+    """`_walk` asks a rule once per (factor, bit, tag, stack shape) and
+    writes each class's child from the class's own stack code."""
 
     @settings(max_examples=200, deadline=None)
     @given(ranks=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data())
@@ -472,16 +471,35 @@ class TestMoveTables:
         code = data.draw(st.integers(1 << letters, (2 << letters) - 1), label="code")
         bit = data.draw(st.integers(0, 1), label="bit")
         shape = code if code < 4 else 4 | code & 1
+        cancels = code > 1 and code & 1 != bit
         # the census rule over its tags, and the series rule for every mark
-        # (a tag is the flag of a marked first letter)
-        rules = [(census_module._bar(ranks), range(2 * len(ranks) + 1))]
-        rules += [(series_module._moves(ranks, mark), (0, 1) if mark else (0,))
+        # (a tag is the flag of a marked first letter); the census bars the
+        # cancel right after a push in the same factor
+        rules = [(census_module._bar(ranks), range(2 * len(ranks) + 1), True)]
+        rules += [(series_module._moves(ranks, mark), (0, 1) if mark else (0,), False)
                   for mark in [None, *((g, sign) for g in range(len(ranks)) for sign in (-1, 1))]]
-        for rule, tags in rules:
+        for rule, tags, bars in rules:
             for tag in tags:
-                at_shape = [(code >> 1 if child < shape else 2 * code + bit, child_tag, ways)
-                            for child, child_tag, ways in rule(f, shape, tag, bit)]
-                assert list(rule(f, code, tag, bit)) == at_shape, (tag, rule)
+                moves = rule(f, code, tag, bit)
+                assert moves == rule(f, shape, tag, bit), (tag, rule)
+                # a move pops exactly when the letter cancels the top one
+                popping = sum(ways for pops, _, ways in moves if pops)
+                assert popping == int(cancels and not (bars and tag == 2 * f + 2)), (tag, rule)
+
+    def test_walk_steps_integer_weights(self):
+        # one integer weight per factor's letters and one lazy weight in,
+        # each layer itself out; a rule's moves open with the bool `pops`
+        width = 9
+        home = census_module._class(width, [1] * F2F2.num_factors)
+        rule = series_module._moves(F2F2.factors, None)
+        layers = list(census_module._walk(F2F2, rule, [3, 3], 2, width, home, range(1, 9)))
+        assert all(type(layer) is dict and all(type(n) is int for n in layer.values())
+                   for layer in layers)
+        # home after two steps: a letter and its inverse (4 * 3 * 3), or two lazy loops
+        assert layers[1][home] == 40
+        for rule in (census_module._bar(F2F2.factors), series_module._moves(F2F2.factors, (0, -1))):
+            for code in (1, 2, 3, 4, 5):
+                assert all(type(move[0]) is bool for move in rule(0, code, 0, 0))
 
     def test_tables_stay_small(self):
         # at most one entry per factor, exponent bit, tag and shape, whatever
@@ -492,12 +510,11 @@ class TestMoveTables:
             pass
         assert sum(map(len, moves.values())) <= 2 * factors * (2 * factors + 1) * 5 == 100
         # the series walk's tag is a flag
-        width, one = 25, Fraction(1)
+        width = 25
         home = census_module._class(width, [1] * factors)
         moves = {}
         for _ in census_module._walk(F2F2, series_module._moves(F2F2.factors, (0, -1)),
-                                     [one] * factors, Fraction(0), width, home, one,
-                                     range(1, 25), moves=moves):
+                                     [1] * factors, 0, width, home, range(1, 25), moves=moves):
             pass
         assert sum(map(len, moves.values())) <= 2 * factors * 2 * 5
 

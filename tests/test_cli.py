@@ -33,13 +33,13 @@ class TestExitCodes:
         assert run(["census", "--group", "F2xF2", "--budget", "5"]) == 2
 
     def test_budget_failure_is_3(self, capsys):
-        # the length limit refuses it before the walk starts: the valid
-        # prefixes at its middle step are over MAX_NODES
+        # the length limit refuses the search before the walk starts: the
+        # valid prefixes at its middle step are over MAX_NODES
         started = time.perf_counter()
         assert run(["census", "--group", "F2xF2", "--max-length", "99"]) == 3
         assert time.perf_counter() - started < 1
         assert capsys.readouterr().err.splitlines() == [
-            "budget exceeded: walk on F2xF2 to length 98, valid prefixes at step 49: "
+            "budget exceeded: search on F2xF2 to length 98, valid prefixes at step 49: "
             "search-space bound 319065772307490039453444 exceeds budget 150000000"
         ]
 
